@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "common/wake_fd.hpp"
 #include "net/socket.hpp"
 #include "serve/open_loop.hpp"
 #include "voronet/queries.hpp"
@@ -198,11 +199,9 @@ bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
 
     const double remaining = timeout_s - seconds_since(t0);
     if (remaining <= 0.0) return false;
+    // An exact wait: whole milliseconds would make a paced sender late.
     pollfd pfd{fd_, POLLIN, 0};
-    const int timeout_ms =
-        std::max(1, static_cast<int>(std::min(remaining, 0.1) * 1000.0));
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n <= 0) continue;
+    if (poll_for(&pfd, 1, std::min(remaining, 0.1)) <= 0) continue;
     for (;;) {
       const std::size_t old = in_.size();
       in_.resize(old + kReadChunk);

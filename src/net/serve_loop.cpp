@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/wake_fd.hpp"
 #include "protocol/flat_map.hpp"
 #include "voronet/queries.hpp"
 
@@ -20,6 +21,8 @@ namespace {
 /// buffer (same policy as SocketTransport's inbound path).
 constexpr std::size_t kCompactThreshold = std::size_t{1} << 16;
 constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+/// A sim shard's client poll between slices (wall seconds).
+constexpr double kSimPoll = 0.001;
 
 }  // namespace
 
@@ -67,38 +70,15 @@ ServedShard::~ServedShard() {
 
 std::uint64_t ServedShard::serve() {
   protocol::ProtocolHarness& harness = query_harness_->harness();
+  protocol::Transport& net = harness.network();
+  // A virtual clock has no wall deadline to sleep until: a sim shard
+  // advances it one slice per pass between short client polls.
+  const bool sim = net.deterministic();
+  std::vector<pollfd> pfds;
   while (!stop_.load(std::memory_order_relaxed)) {
-    // One short poll pass over the client-facing sockets...
-    std::vector<pollfd> pfds;
-    pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    for (const Client& c : clients_) {
-      short events = POLLIN;
-      if (c.out.size() > c.out_off) events |= POLLOUT;
-      pfds.push_back(pollfd{c.fd, events, 0});
-    }
-    const int n = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/1);
-    if (n > 0) {
-      if ((pfds[0].revents & POLLIN) != 0) accept_clients();
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        Client& c = clients_[i];
-        const short re = pfds[i + 1].revents;
-        bool alive = true;
-        if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0 && (re & POLLIN) == 0) {
-          alive = false;
-        }
-        if (alive && (re & POLLIN) != 0) alive = read_client(c);
-        if (alive && (re & POLLOUT) != 0) alive = flush_client(c);
-        if (!alive) {
-          ::close(c.fd);
-          c.fd = -1;
-        }
-      }
-      std::erase_if(clients_, [](const Client& c) { return c.fd < 0; });
-    }
-    // ... then one drive slice of the harness (protocol upcalls, batch
-    // timers, flood completions all run here, on this thread) ...
-    harness.run_until(harness.network().now() + config_.slice);
-    // ... then ship every answer that slice produced.
+    // Pump the harness (protocol upcalls, batch timers and flood
+    // completions run here, on this thread), then ship every answer.
+    harness.run_until(sim ? net.now() + config_.slice : net.now());
     sweep_answers();
     for (Client& c : clients_) {
       if (!flush_client(c)) {
@@ -107,6 +87,39 @@ std::uint64_t ServedShard::serve() {
       }
     }
     std::erase_if(clients_, [](const Client& c) { return c.fd < 0; });
+
+    // Block until a client, stop(), the transport's threads or the next
+    // harness deadline needs this thread.
+    pfds.clear();
+    pfds.push_back(pollfd{stop_wake_.fd(), POLLIN, 0});
+    pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    for (const Client& c : clients_) {
+      short events = POLLIN;
+      if (c.out.size() > c.out_off) events |= POLLOUT;
+      pfds.push_back(pollfd{c.fd, events, 0});
+    }
+    double timeout = kSimPoll;
+    if (!sim) {
+      pfds.push_back(pollfd{net.arm_driver_wake(), POLLIN, 0});
+      timeout = net.next_deadline() - net.now();
+    }
+    if (poll_for(pfds.data(), pfds.size(), timeout) <= 0) continue;
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      Client& c = clients_[i];
+      const short re = pfds[i + 2].revents;
+      bool alive = true;
+      if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0 && (re & POLLIN) == 0) {
+        alive = false;
+      }
+      if (alive && (re & POLLIN) != 0) alive = read_client(c);
+      if (alive && (re & POLLOUT) != 0) alive = flush_client(c);
+      if (!alive) {
+        ::close(c.fd);
+        c.fd = -1;
+      }
+    }
+    std::erase_if(clients_, [](const Client& c) { return c.fd < 0; });
+    if ((pfds[1].revents & POLLIN) != 0) accept_clients();
   }
   return answered_;
 }

@@ -10,12 +10,22 @@
 // against the sequential ground truth (the same roster scan as
 // serve::run_open_loop), and ships the stats back.
 //
-// Concurrency model: run() IS the transport's driving thread.  The loop
-// alternates short poll() passes over the client sockets with short
-// run_until() slices of the harness, so every QueryServer entry point
-// and every protocol upcall executes on this one thread -- the
-// single-threaded serving contract of src/serve holds unchanged across
-// the process boundary.
+// Concurrency model: serve() IS the transport's driving thread, so every
+// QueryServer entry point and every protocol upcall executes on this one
+// thread -- the single-threaded serving contract of src/serve holds
+// unchanged across the process boundary.
+//
+// On the wall-clock backends (thread, socket) the loop is event-driven.
+// It blocks in one ppoll over the listen socket, the client sockets, a
+// stop eventfd and the transport's armed driver wake fd, with the
+// timeout set to the transport's next schedule() deadline (a batch
+// window, a query deadline), to the nanosecond.  Each wake pumps the
+// harness with run_until(now()), sweeps finished tickets into answer
+// frames and flushes.  A protocol message therefore waits for no
+// time slice: each of a query's 20-30 chained messages is handled as soon
+// as the transport queues it.  A sim shard keeps a slice drive (a 1 ms
+// client poll, then run_until(now + slice) in virtual seconds), since a
+// virtual clock has no wall deadline to sleep until.
 #pragma once
 
 #include <atomic>
@@ -24,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wake_fd.hpp"
 #include "net/serve_wire.hpp"
 #include "net/socket.hpp"
 #include "protocol/query_harness.hpp"
@@ -42,8 +53,8 @@ struct ServedConfig {
   unsigned shards = 0;             ///< thread-backend actor threads
   std::string transport_listen;    ///< socket-backend internal listen spec
   serve::ServeConfig serve;
-  /// Harness drive quantum per loop pass (wall seconds on the thread /
-  /// socket backends, virtual seconds on sim).
+  /// Virtual seconds a sim-backed shard advances per loop pass.  The
+  /// wall-clock backends are event-driven and ignore it.
   double slice = 0.002;
   /// Short-wire latency model + failure detector, scaled like
   /// bench_serve's cells so shard numbers are comparable.
@@ -71,7 +82,10 @@ class ServedShard {
   /// Serve until a client sends kShutdown (or stop() is called from
   /// another thread).  Returns the number of queries answered.
   std::uint64_t serve();
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  void stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    stop_wake_.signal();
+  }
 
  private:
   struct Client {
@@ -114,6 +128,7 @@ class ServedShard {
   std::uint64_t answered_ = 0;
   bool drained_ = true;  ///< last run_to_idle reached quiescence
   std::atomic<bool> stop_{false};
+  WakeFd stop_wake_;  ///< makes stop() from another thread end the wait
 };
 
 }  // namespace voronet::net

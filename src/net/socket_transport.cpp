@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -39,8 +40,6 @@ constexpr std::size_t kReadChunk = 1u << 16;
   if (a_at != b_at) return a_at > b_at;
   return a_seq > b_seq;
 }
-
-constexpr std::chrono::microseconds kDriverNap{500};
 
 }  // namespace
 
@@ -94,16 +93,6 @@ SocketTransport::SocketTransport(const NetworkConfig& config,
     }
   }
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("SocketTransport: pipe() failed");
-  }
-  wake_rd_ = pipe_fds[0];
-  wake_wr_ = pipe_fds[1];
-  (void)set_nonblocking(wake_rd_);
-  (void)set_nonblocking(wake_wr_);
-
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     NetEvent ev;
     ev.kind = NetEvent::kConnect;
@@ -119,7 +108,7 @@ SocketTransport::~SocketTransport() {
     std::lock_guard<std::mutex> lk(io_m_);
     stop_ = true;
   }
-  wake_io();
+  io_wake_.signal();
   io_thread_.join();
   for (Peer& p : peers_) {
     if (p.fd >= 0) ::close(p.fd);
@@ -128,8 +117,6 @@ SocketTransport::~SocketTransport() {
     if (c.fd >= 0) ::close(c.fd);
   }
   ::close(listen_fd_);
-  ::close(wake_rd_);
-  ::close(wake_wr_);
   if (listen_addr_.family == Address::Family::kUnix) {
     ::unlink(listen_addr_.path.c_str());
   }
@@ -590,7 +577,17 @@ void SocketTransport::settle_locked(std::uint32_t slot,
   if (Transfer* t = live_transfer_locked(slot, transfer_id)) {
     metrics_.record_transfer_attempts(t->attempts);
     t->settled = true;  // the pending retransmit event is now a no-op
+    // On a wall clock an ack can overtake a retransmission of its own
+    // transfer (a slow host, a stalled thread).  The slot's delivered bit
+    // dies here, so remember the transfer in the orphan window: that copy
+    // then arrives as a duplicate, not as a second delivery.
+    const bool copy_in_flight = t->attempts > 1;
+    const NodeId dst = t->msg.dst;
     free_slot_locked(slot);
+    if (copy_in_flight) {
+      orphans_.insert(transfer_id, dst);
+      return;
+    }
   }
   if (!orphans_.empty()) orphans_.erase(transfer_id);
 }
@@ -647,7 +644,7 @@ void SocketTransport::process_arrival(Message msg) {
   // driver's quiescence probe reads wire_pending_ first, so 0 means every
   // consequence is already visible to it.
   wire_pending_.fetch_sub(1);
-  up_cv_.notify_all();
+  wake_.progress();
 }
 
 // ---------------------------------------------------------------------------
@@ -659,13 +656,7 @@ void SocketTransport::post(NetEvent ev) {
     std::lock_guard<std::mutex> lk(io_m_);
     inbox_.push_back(std::move(ev));
   }
-  wake_io();
-}
-
-void SocketTransport::wake_io() {
-  const char byte = 1;
-  // EAGAIN means the pipe already holds a wakeup; that is enough.
-  (void)!::write(wake_wr_, &byte, 1);
+  io_wake_.signal();
 }
 
 void SocketTransport::process_due(NetEvent& ev) {
@@ -745,7 +736,7 @@ void SocketTransport::peer_down(Peer& peer, std::size_t peer_index) {
                  [](const NetEvent& a, const NetEvent& b) {
                    return later(a.at, a.seq, b.at, b.seq);
                  });
-  up_cv_.notify_all();
+  wake_.progress();
 }
 
 void SocketTransport::flush_peer(Peer& peer, std::size_t peer_index) {
@@ -872,7 +863,7 @@ void SocketTransport::io_loop() {
 
     pfds.clear();
     refs.clear();
-    pfds.push_back({wake_rd_, POLLIN, 0});
+    pfds.push_back({io_wake_.fd(), POLLIN, 0});
     refs.push_back({PollRef::kWake});
     pfds.push_back({listen_fd_, POLLIN, 0});
     refs.push_back({PollRef::kListen});
@@ -888,27 +879,20 @@ void SocketTransport::io_loop() {
       pfds.push_back({inbound_[i].fd, POLLIN, 0});
       refs.push_back({PollRef::kInbound, i});
     }
-    int timeout_ms = -1;
-    if (!heap_.empty()) {
-      const double dt = heap_.front().at - now();
-      timeout_ms = dt <= 0.0
-                       ? 0
-                       : static_cast<int>(std::min(dt * 1000.0 + 1.0, 1000.0));
-    }
-    const int ready = ::poll(pfds.data(),
-                             static_cast<nfds_t>(pfds.size()), timeout_ms);
-    if (ready <= 0) continue;
+    // Sleep until the next frame or timer is due, to the nanosecond: a
+    // millisecond-rounded wait would delay every hop of a query's chain.
+    const double timeout =
+        heap_.empty() ? std::numeric_limits<double>::infinity()
+                      : heap_.front().at - now();
+    if (poll_for(pfds.data(), pfds.size(), timeout) <= 0) continue;
 
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       const short revents = pfds[i].revents;
       if (revents == 0) continue;
       switch (refs[i].kind) {
-        case PollRef::kWake: {
-          char buf[64];
-          while (::read(wake_rd_, buf, sizeof(buf)) > 0) {
-          }
+        case PollRef::kWake:
+          io_wake_.drain();
           break;
-        }
         case PollRef::kListen: {
           for (;;) {
             const int fd = accept_conn(listen_fd_);
@@ -970,9 +954,11 @@ void SocketTransport::io_loop() {
 // ---------------------------------------------------------------------------
 
 void SocketTransport::push_upcall(Upcall up) {
-  std::lock_guard<std::mutex> lk(up_m_);
-  upcalls_.push_back(std::move(up));
-  up_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(up_m_);
+    upcalls_.push_back(std::move(up));
+  }
+  wake_.work();
 }
 
 void SocketTransport::schedule(double delay, Task fn) {
@@ -987,10 +973,31 @@ void SocketTransport::schedule(double delay, Task fn) {
   std::push_heap(timers_.begin(), timers_.end(), cmp);
 }
 
+double SocketTransport::next_deadline() const {
+  return timers_.empty() ? std::numeric_limits<double>::infinity()
+                         : timers_.front().at;
+}
+
+int SocketTransport::arm_driver_wake() {
+  std::lock_guard<std::mutex> lk(up_m_);
+  return wake_.arm(!upcalls_.empty());
+}
+
+bool SocketTransport::upcalls_queued() const {
+  std::lock_guard<std::mutex> lk(up_m_);
+  return !upcalls_.empty();
+}
+
+protocol::NetworkStats SocketTransport::stats() const {
+  std::lock_guard<std::mutex> lk(g_);
+  return stats_;
+}
+
 std::size_t SocketTransport::pump() {
   const auto cmp = [](const DriverTimer& a, const DriverTimer& b) {
     return later(a.at, a.seq, b.at, b.seq);
   };
+  wake_.disarm();
   std::size_t processed = 0;
   for (;;) {
     if (!timers_.empty() && timers_.front().at <= now()) {
@@ -1035,10 +1042,7 @@ bool SocketTransport::quiescent() const {
 
 protocol::Transport::RunResult SocketTransport::run_to_idle(
     std::size_t max_events) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(socket_config_.patience));
+  const double give_up = now() + socket_config_.patience;
   RunResult result;
   for (;;) {
     result.processed += pump();
@@ -1047,22 +1051,14 @@ protocol::Transport::RunResult SocketTransport::run_to_idle(
       return result;
     }
     if (quiescent()) return result;
-    if (std::chrono::steady_clock::now() >= deadline) {
+    const double t = now();
+    if (t >= give_up) {
       result.budget_exhausted = true;
       return result;
     }
-    std::unique_lock<std::mutex> lk(up_m_);
-    if (!upcalls_.empty()) continue;
-    auto nap = std::chrono::steady_clock::duration(kDriverNap);
-    if (!timers_.empty()) {
-      const auto until_timer =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(timers_.front().at - now()));
-      nap = std::min(nap,
-                     std::max(until_timer,
-                              std::chrono::steady_clock::duration::zero()));
-    }
-    up_cv_.wait_for(lk, nap);
+    wake_.park(protocol::DriverWake::Wait::kProgress,
+               std::min(next_deadline(), give_up) - t,
+               [this] { return upcalls_queued() || quiescent(); });
   }
 }
 
@@ -1072,20 +1068,9 @@ protocol::Transport::RunResult SocketTransport::run_until(double horizon) {
     result.processed += pump();
     const double t = now();
     if (t >= horizon) return result;
-    std::unique_lock<std::mutex> lk(up_m_);
-    if (!upcalls_.empty()) continue;
-    auto nap = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(horizon - t));
-    nap = std::min(nap, std::chrono::steady_clock::duration(kDriverNap));
-    if (!timers_.empty()) {
-      const auto until_timer =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(timers_.front().at - t));
-      nap = std::min(nap,
-                     std::max(until_timer,
-                              std::chrono::steady_clock::duration::zero()));
-    }
-    up_cv_.wait_for(lk, nap);
+    wake_.park(protocol::DriverWake::Wait::kWork,
+               std::min(next_deadline(), horizon) - t,
+               [this] { return upcalls_queued(); });
   }
 }
 

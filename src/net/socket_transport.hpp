@@ -35,12 +35,14 @@
 // thread calls send()/draft()/schedule()/run_*, the sink and abandon
 // handler run only on that driving thread from inside run_*, and all
 // shared state sits behind one mutex that the I/O thread holds only for
-// the microseconds an event takes to classify.  NOT deterministic.
+// the microseconds an event takes to classify.  The I/O thread sleeps in
+// ppoll until its next frame or timer deadline, to the nanosecond, or
+// until post() signals its eventfd; the driver parks on a DriverWake the
+// same way.  NOT deterministic.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -50,7 +52,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/wake_fd.hpp"
 #include "net/socket.hpp"
+#include "protocol/driver_wake.hpp"
 #include "protocol/transport.hpp"
 
 namespace voronet::net {
@@ -117,6 +121,8 @@ class SocketTransport final : public protocol::Transport {
   void schedule(double delay, Task fn) override;
   RunResult run_to_idle(std::size_t max_events) override;
   RunResult run_until(double horizon) override;
+  [[nodiscard]] int arm_driver_wake() override;
+  [[nodiscard]] double next_deadline() const override;
 
   [[nodiscard]] std::size_t in_flight() const override;
   [[nodiscard]] std::size_t stalled_backlog() const override;
@@ -128,7 +134,7 @@ class SocketTransport final : public protocol::Transport {
   [[nodiscard]] const sim::Metrics& metrics() const override {
     return metrics_;
   }
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
+  [[nodiscard]] NetworkStats stats() const override;
   [[nodiscard]] const NetworkConfig& config() const override {
     return config_;
   }
@@ -214,7 +220,6 @@ class SocketTransport final : public protocol::Transport {
   // --- I/O thread ----------------------------------------------------------
   void io_loop();
   void post(NetEvent ev);
-  void wake_io();
   void process_due(NetEvent& ev);
   void try_connect(std::size_t peer_index);
   void peer_down(Peer& peer, std::size_t peer_index);
@@ -242,6 +247,7 @@ class SocketTransport final : public protocol::Transport {
   static void set_flag(std::vector<std::uint8_t>& flags, NodeId node, bool on);
   void push_upcall(Upcall up);
   std::size_t pump();
+  [[nodiscard]] bool upcalls_queued() const;
   [[nodiscard]] bool quiescent() const;
 
   NetworkConfig config_;
@@ -281,8 +287,7 @@ class SocketTransport final : public protocol::Transport {
   // --- I/O side ------------------------------------------------------------
   Address listen_addr_;
   int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< self-pipe: poll() wakeup from post()/dtor
-  int wake_wr_ = -1;
+  WakeFd io_wake_;  ///< poll() wakeup from post()/dtor
   std::vector<Peer> peers_;
   std::vector<Inbound> inbound_;
   std::mutex io_m_;  ///< guards inbox_/stop_ (never held with g_ wanted)
@@ -293,8 +298,8 @@ class SocketTransport final : public protocol::Transport {
 
   // --- Driver side ---------------------------------------------------------
   mutable std::mutex up_m_;
-  std::condition_variable up_cv_;
   std::deque<Upcall> upcalls_;
+  protocol::DriverWake wake_;
   std::vector<DriverTimer> timers_;  ///< min-heap; driver thread only
   std::uint64_t timer_seq_ = 0;
 };

@@ -15,6 +15,8 @@
 // raw queue) may reach through queue().
 #pragma once
 
+#include <limits>
+
 #include "protocol/network.hpp"
 #include "protocol/transport.hpp"
 #include "sim/event_queue.hpp"
@@ -81,6 +83,10 @@ class SimTransport final : public Transport {
   RunResult run_until(double horizon) override {
     return queue_.run_until(horizon);
   }
+  [[nodiscard]] int arm_driver_wake() override { return -1; }
+  [[nodiscard]] double next_deadline() const override {
+    return std::numeric_limits<double>::infinity();
+  }
 
   [[nodiscard]] std::size_t in_flight() const override {
     return net_.in_flight();
@@ -102,7 +108,7 @@ class SimTransport final : public Transport {
   [[nodiscard]] const sim::Metrics& metrics() const override {
     return net_.metrics();
   }
-  [[nodiscard]] const NetworkStats& stats() const override {
+  [[nodiscard]] NetworkStats stats() const override {
     return net_.stats();
   }
   [[nodiscard]] const NetworkConfig& config() const override {

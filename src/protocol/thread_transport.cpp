@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -30,12 +31,6 @@ constexpr std::size_t kMaxPoolSize = 1024;
   if (a_at != b_at) return a_at > b_at;
   return a_seq > b_seq;
 }
-
-/// How long the driver sleeps between quiescence probes when no wakeup
-/// deadline is nearer.  Progress signals (upcalls, drained wire events)
-/// notify the driver cv, so this only bounds staleness after silent
-/// transitions (e.g. an ack settling the last in-flight transfer).
-constexpr std::chrono::microseconds kDriverNap{500};
 
 }  // namespace
 
@@ -516,7 +511,17 @@ void ThreadTransport::settle_locked(std::uint32_t slot,
   if (Transfer* t = live_transfer_locked(slot, transfer_id)) {
     metrics_.record_transfer_attempts(t->attempts);
     t->settled = true;  // the pending retransmit event is now a no-op
+    // On a wall clock an ack can overtake a retransmission of its own
+    // transfer (a slow host, a stalled thread).  The slot's delivered bit
+    // dies here, so remember the transfer in the orphan window: that copy
+    // then arrives as a duplicate, not as a second delivery.
+    const bool copy_in_flight = t->attempts > 1;
+    const NodeId dst = t->msg.dst;
     free_slot_locked(slot);
+    if (copy_in_flight) {
+      orphans_.insert(transfer_id, dst);
+      return;
+    }
   }
   if (!orphans_.empty()) orphans_.erase(transfer_id);
 }
@@ -588,8 +593,8 @@ void ThreadTransport::process_event(WireEvent& ev) {
     wire_events_.fetch_sub(1);
   }
   // Every processed event can complete quiescence (an ack settling the
-  // last transfer is silent otherwise) -- nudge the driver.
-  up_cv_.notify_all();
+  // last transfer is silent otherwise) -- wake a run_to_idle driver.
+  wake_.progress();
 }
 
 // ---------------------------------------------------------------------------
@@ -644,9 +649,11 @@ void ThreadTransport::shard_loop(Shard& shard) {
 // ---------------------------------------------------------------------------
 
 void ThreadTransport::push_upcall(Upcall up) {
-  std::lock_guard<std::mutex> lk(up_m_);
-  upcalls_.push_back(std::move(up));
-  up_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(up_m_);
+    upcalls_.push_back(std::move(up));
+  }
+  wake_.work();
 }
 
 void ThreadTransport::schedule(double delay, Task fn) {
@@ -661,10 +668,31 @@ void ThreadTransport::schedule(double delay, Task fn) {
   std::push_heap(timers_.begin(), timers_.end(), cmp);
 }
 
+double ThreadTransport::next_deadline() const {
+  return timers_.empty() ? std::numeric_limits<double>::infinity()
+                         : timers_.front().at;
+}
+
+int ThreadTransport::arm_driver_wake() {
+  std::lock_guard<std::mutex> lk(up_m_);
+  return wake_.arm(!upcalls_.empty());
+}
+
+bool ThreadTransport::upcalls_queued() const {
+  std::lock_guard<std::mutex> lk(up_m_);
+  return !upcalls_.empty();
+}
+
+NetworkStats ThreadTransport::stats() const {
+  std::lock_guard<std::mutex> lk(g_);
+  return stats_;
+}
+
 std::size_t ThreadTransport::pump() {
   const auto cmp = [](const DriverTimer& a, const DriverTimer& b) {
     return later(a.at, a.seq, b.at, b.seq);
   };
+  wake_.disarm();
   std::size_t processed = 0;
   for (;;) {
     // Due application timers interleave with deliveries in deadline
@@ -710,10 +738,7 @@ bool ThreadTransport::quiescent() const {
 }
 
 Transport::RunResult ThreadTransport::run_to_idle(std::size_t max_events) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(patience_));
+  const double give_up = now() + patience_;
   RunResult result;
   for (;;) {
     result.processed += pump();
@@ -722,21 +747,14 @@ Transport::RunResult ThreadTransport::run_to_idle(std::size_t max_events) {
       return result;
     }
     if (quiescent()) return result;
-    if (std::chrono::steady_clock::now() >= deadline) {
+    const double t = now();
+    if (t >= give_up) {
       result.budget_exhausted = true;
       return result;
     }
-    std::unique_lock<std::mutex> lk(up_m_);
-    if (!upcalls_.empty()) continue;
-    auto nap = std::chrono::steady_clock::duration(kDriverNap);
-    if (!timers_.empty()) {
-      const auto until_timer =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(timers_.front().at - now()));
-      nap = std::min(nap, std::max(until_timer,
-                                   std::chrono::steady_clock::duration::zero()));
-    }
-    up_cv_.wait_for(lk, nap);
+    wake_.park(DriverWake::Wait::kProgress,
+               std::min(next_deadline(), give_up) - t,
+               [this] { return upcalls_queued() || quiescent(); });
   }
 }
 
@@ -746,19 +764,8 @@ Transport::RunResult ThreadTransport::run_until(double horizon) {
     result.processed += pump();
     const double t = now();
     if (t >= horizon) return result;
-    std::unique_lock<std::mutex> lk(up_m_);
-    if (!upcalls_.empty()) continue;
-    auto nap = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(horizon - t));
-    nap = std::min(nap, std::chrono::steady_clock::duration(kDriverNap));
-    if (!timers_.empty()) {
-      const auto until_timer =
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(timers_.front().at - t));
-      nap = std::min(nap, std::max(until_timer,
-                                   std::chrono::steady_clock::duration::zero()));
-    }
-    up_cv_.wait_for(lk, nap);
+    wake_.park(DriverWake::Wait::kWork, std::min(next_deadline(), horizon) - t,
+               [this] { return upcalls_queued(); });
   }
 }
 

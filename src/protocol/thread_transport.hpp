@@ -19,7 +19,9 @@
 //   * the sink and the abandon handler are invoked ONLY on that driving
 //     thread, from inside run_to_idle()/run_until() -- shard threads
 //     queue upcalls, the driver drains them.  The protocol layer above
-//     therefore needs no locks, on any backend.
+//     therefore needs no locks, on any backend.  A driver with nothing to
+//     pump parks on a DriverWake fd until the next timer deadline; a shard
+//     thread signals it only while it is parked.
 //   * shared transport state (transfer slots, dedup, stats, failure
 //     marks) sits behind one mutex; shard threads hold it only for the
 //     microseconds an event takes to classify.
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "protocol/driver_wake.hpp"
 #include "protocol/transport.hpp"
 
 namespace voronet::protocol {
@@ -90,6 +93,8 @@ class ThreadTransport final : public Transport {
   void schedule(double delay, Task fn) override;
   RunResult run_to_idle(std::size_t max_events) override;
   RunResult run_until(double horizon) override;
+  [[nodiscard]] int arm_driver_wake() override;
+  [[nodiscard]] double next_deadline() const override;
 
   [[nodiscard]] std::size_t in_flight() const override;
   [[nodiscard]] std::size_t stalled_backlog() const override;
@@ -101,7 +106,7 @@ class ThreadTransport final : public Transport {
   [[nodiscard]] const sim::Metrics& metrics() const override {
     return metrics_;
   }
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
+  [[nodiscard]] NetworkStats stats() const override;
   [[nodiscard]] const NetworkConfig& config() const override {
     return config_;
   }
@@ -205,6 +210,7 @@ class ThreadTransport final : public Transport {
   void push_upcall(Upcall up);
   /// Drain queued upcalls + due driver timers; returns #processed.
   std::size_t pump();
+  [[nodiscard]] bool upcalls_queued() const;
   [[nodiscard]] bool quiescent() const;
 
   NetworkConfig config_;
@@ -244,8 +250,8 @@ class ThreadTransport final : public Transport {
 
   // --- Driver side ---------------------------------------------------------
   mutable std::mutex up_m_;
-  std::condition_variable up_cv_;
   std::deque<Upcall> upcalls_;
+  DriverWake wake_;  ///< closed after ~ThreadTransport joins threads_
   std::vector<DriverTimer> timers_;  ///< min-heap; driver-thread only
   std::uint64_t timer_seq_ = 0;
 };

@@ -2,7 +2,7 @@
 //
 // Everything above the wire -- ProtocolHarness, the query engine, the
 // serving front-end, the obs hooks -- talks to this interface and never
-// to a concrete backend.  Two implementations exist:
+// to a concrete backend.  Three implementations exist:
 //
 //   * SimTransport (sim_transport.hpp): the deterministic discrete-event
 //     backend -- protocol::Network driven by sim::EventQueue.  Same
@@ -11,10 +11,11 @@
 //   * ThreadTransport (thread_transport.hpp): in-process actor threads
 //     with per-node MPSC mailboxes and real monotonic-clock timers.
 //     Wall-clock time, genuinely concurrent, NOT deterministic.
+//   * net::SocketTransport (net/socket_transport.hpp): every frame
+//     through a kernel socket and one poll loop thread.  Wall-clock.
 //
-// The contract both backends satisfy (tests/transport_conformance_test
-// runs the suite against each, so a third backend -- sockets -- has a
-// ready-made gate):
+// The contract all three satisfy (tests/transport_conformance_test runs
+// the suite against each):
 //
 //   * reliable delivery: every non-ack send() reaches the sink exactly
 //     once, or is handed to the abandon handler (crashed endpoint /
@@ -29,11 +30,16 @@
 //   * crash/revive residue: revive(id) abandons every predecessor-era
 //     transfer touching the id (through the abandon handler, with the
 //     crashed mark still set) and drops its dedup, stall-backlog and
-//     flight-recorder residue -- a recycled id inherits nothing.
+//     flight-recorder residue -- a recycled id inherits nothing;
+//   * driving: one thread drives, and the sink, the abandon handler and
+//     schedule()d tasks run only on it, inside run_*.  A wall-clock
+//     backend wakes that thread by event, never by polling: its waits end
+//     at the exact next deadline or when another thread queues work
+//     (arm_driver_wake / next_deadline below).
 //
 // What is NOT universal: determinism (SimTransport only), and the
-// degradation windows / link filters, which ThreadTransport honours on
-// a best-effort wall-clock basis (a window "ends" when the driver says
+// degradation windows / link filters, which the wall-clock backends
+// honour on a best-effort basis (a window "ends" when the driver says
 // so, not at a virtual instant).
 #pragma once
 
@@ -183,7 +189,26 @@ class Transport {
   virtual RunResult run_to_idle(
       std::size_t max_events = sim::EventQueue::kDefaultEventBudget) = 0;
   /// Drive until now() reaches `horizon` (absolute, native clock).
+  /// run_until(now()) runs every due timer and queued upcall once and
+  /// returns: the pump of an event-driven driver.
   virtual RunResult run_until(double horizon) = 0;
+
+  // Event-driven driving, for a driver that blocks outside run_* (a serve
+  // loop polling its own sockets).  On the wall-clock backends the driver
+  // blocks until arm_driver_wake()'s fd is readable or next_deadline()
+  // passes, then pumps with run_until(now()); nothing else needs it awake.
+
+  /// Call right before blocking, and add the returned fd to the poll set.
+  /// It becomes readable once another thread queues driver work (a
+  /// delivery or an abandon), at once if some is queued already; the next
+  /// run_* call drains it.  Other threads signal it only while it is armed,
+  /// so a busy driver costs them no syscall.  -1 on SimTransport, where
+  /// nothing arrives between run_* calls.
+  [[nodiscard]] virtual int arm_driver_wake() = 0;
+  /// The earliest pending schedule() deadline on now()'s clock; +inf when
+  /// none is pending, and always on SimTransport, whose virtual clock has
+  /// no wall deadline to sleep until.
+  [[nodiscard]] virtual double next_deadline() const = 0;
 
   // --- Accounting ----------------------------------------------------------
 
@@ -201,7 +226,9 @@ class Transport {
 
   [[nodiscard]] virtual sim::Metrics& metrics() = 0;
   [[nodiscard]] virtual const sim::Metrics& metrics() const = 0;
-  [[nodiscard]] virtual const NetworkStats& stats() const = 0;
+  /// A snapshot: the threaded backends copy it under their lock, since
+  /// their actor and I/O threads keep counting while the driver reads.
+  [[nodiscard]] virtual NetworkStats stats() const = 0;
   [[nodiscard]] virtual const NetworkConfig& config() const = 0;
   [[nodiscard]] virtual double retransmit_timeout() const = 0;
 

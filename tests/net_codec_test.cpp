@@ -348,10 +348,18 @@ TEST(ServeWire, RejectsCorruptFrames) {
 // ServedShard + ServeClient, in process over a Unix-domain socket
 // ---------------------------------------------------------------------------
 
-TEST(ServedShard, AnswersRemoteClientsExactly) {
+// The serve loop drives the overlay's own wire on every backend: event-
+// driven on the wall-clock ones (thread, socket), by virtual-time slices
+// on sim.
+class ServedShardBackends
+    : public ::testing::TestWithParam<protocol::TransportKind> {};
+
+TEST_P(ServedShardBackends, AnswersRemoteClientsExactly) {
   ServedConfig config;
   config.objects = 60;
   config.seed = 0x5eedULL;
+  config.backend = GetParam();
+  config.shards = 2;
   ServedShard shard(config);
   // The shard's serve loop IS its transport's driving thread; the test
   // thread plays the remote client process.
@@ -398,6 +406,22 @@ TEST(ServedShard, AnswersRemoteClientsExactly) {
   }
   server.join();
 }
+
+INSTANTIATE_TEST_SUITE_P(ServedShard, ServedShardBackends,
+                         ::testing::Values(protocol::TransportKind::kThread,
+                                           protocol::TransportKind::kSocket,
+                                           protocol::TransportKind::kSim),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case protocol::TransportKind::kSim:
+                               return "sim";
+                             case protocol::TransportKind::kThread:
+                               return "thread";
+                             case protocol::TransportKind::kSocket:
+                               return "socket";
+                           }
+                           return "unknown";
+                         });
 
 }  // namespace
 }  // namespace voronet::net

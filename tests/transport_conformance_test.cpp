@@ -1,23 +1,29 @@
-// Transport conformance: the seam contract, proven against BOTH backends.
+// Transport conformance: the seam contract, proven against every backend.
 //
-// Every test in this file runs twice -- once over SimTransport (the
-// deterministic event-queue simulation) and once over ThreadTransport
-// (real shard threads, monotonic-clock deadlines).  The assertions are
+// Every test in this file runs three times -- over SimTransport (the
+// deterministic event-queue simulation), ThreadTransport (real shard
+// threads, monotonic-clock deadlines) and SocketTransport (frames through
+// a loopback Unix-domain socket).  The assertions are
 // the transport contract of protocol/transport.hpp: exactly-once
 // delivery under loss and duplication, bounded dedup state, capped
 // retransmission with give-up, stall parking, and crash/revive residue
-// clearing.  Where a quantity is scheduling-dependent (which copy wins a
+// clearing, and the event-driven driving members (the driver wake fd and
+// the next schedule() deadline).  Where a quantity is scheduling-dependent (which copy wins a
 // duplicate race) the tests assert the invariant, not the schedule;
 // where it is schedule-independent (wire attempt counts under total
 // loss) they pin the exact number on both backends.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/wake_fd.hpp"
 #include "net/socket_transport.hpp"
 #include "protocol/sim_transport.hpp"
 #include "protocol/thread_transport.hpp"
@@ -230,6 +236,12 @@ TEST_P(TransportConformance, StallParksArrivalsAndResumeDeliversOnce) {
 TEST_P(TransportConformance, ReviveClearsPredecessorEraResidueOnBothSides) {
   NetworkConfig config;
   config.latency = LatencyModel::fixed(0.05);
+  // The row's premise is that revive() comes before the first retransmit
+  // timer.  The derived 0.11 s timeout leaves a wall-clock backend 50 ms
+  // of slack, which a slowed-down build (ThreadSanitizer) can overrun;
+  // a 1 s timeout keeps the premise without slowing the row down, since
+  // the stale timers it arms are never waited for.
+  config.retransmit_timeout = 1.0;
   auto t = make(config);
 
   std::size_t delivered = 0;
@@ -310,6 +322,89 @@ TEST_P(TransportConformance, DraftReservePathPresizesAndRecyclesPayloads) {
   Message again = t->draft();
   EXPECT_GT(again.entries.capacity(), 0u)
       << "draft() after a settled send must reuse the pooled payload";
+}
+
+TEST_P(TransportConformance, DriverWakeFiresOnQueuedWorkAndStaysQuietIdle) {
+  auto t = make(fast_config());
+  std::size_t delivered = 0;
+  t->set_sink([&](const Message&) { ++delivered; });
+  t->set_abandon_handler([](const Message&) { FAIL() << "nothing may fail"; });
+
+  const int fd = t->arm_driver_wake();
+  if (t->deterministic()) {
+    EXPECT_EQ(fd, -1) << "nothing arrives between run_* calls on sim";
+    return;
+  }
+  ASSERT_GE(fd, 0);
+  const auto readable = [fd](double timeout_s) {
+    pollfd pfd{fd, POLLIN, 0};
+    return poll_for(&pfd, 1, timeout_s) == 1;
+  };
+  const auto send = [&t](std::uint64_t version) {
+    Message m = t->draft();
+    m.type = sim::MessageKind::kVoronoiUpdate;
+    m.src = 1;
+    m.dst = 2;
+    m.version = version;
+    t->send(std::move(m));
+  };
+  EXPECT_FALSE(readable(0.02)) << "armed and idle: no signal";
+
+  // Another thread queues the delivery: the armed fd turns readable, and
+  // the sink waits for this thread's pump, which drains the fd.
+  send(0);
+  ASSERT_TRUE(readable(10.0)) << t->backend_name();
+  EXPECT_EQ(delivered, 0u);
+  (void)t->run_until(t->now());
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_FALSE(readable(0.0)) << "the pump drains the fd";
+
+  // Wire progress that queues no driver work -- the ack settling, the
+  // stale retransmit timer firing -- leaves an armed fd quiet.
+  (void)t->arm_driver_wake();
+  EXPECT_FALSE(readable(2.0 * t->retransmit_timeout()));
+  EXPECT_EQ(t->in_flight(), 0u);
+
+  // Work queued before arming makes the fd readable at once.
+  (void)t->run_until(t->now());
+  send(1);
+  await(*t, [&] { return t->stats().delivered == 2; });
+  (void)t->arm_driver_wake();
+  EXPECT_TRUE(readable(0.0));
+  (void)t->run_until(t->now());
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_FALSE(readable(0.0));
+}
+
+TEST_P(TransportConformance, NextDeadlineReportsEarliestSchedule) {
+  auto t = make(fast_config());
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(t->next_deadline(), inf);
+
+  std::vector<int> ran;
+  const double t0 = t->now();
+  t->schedule(0.05, [&ran] { ran.push_back(2); });
+  t->schedule(0.02, [&ran] { ran.push_back(1); });
+  const double t1 = t->now();
+  // The earliest of the two, whatever the order they were scheduled in;
+  // a virtual clock has no wall deadline to report.
+  const auto expect_deadline = [&](double delay) {
+    if (t->deterministic()) {
+      EXPECT_EQ(t->next_deadline(), inf);
+      return;
+    }
+    EXPECT_GE(t->next_deadline(), t0 + delay);
+    EXPECT_LE(t->next_deadline(), t1 + delay);
+  };
+  expect_deadline(0.02);
+
+  (void)t->run_until(t1 + 0.03);
+  EXPECT_EQ(ran, std::vector<int>{1});
+  expect_deadline(0.05);
+
+  ASSERT_FALSE(t->run_to_idle().budget_exhausted);
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  EXPECT_EQ(t->next_deadline(), inf);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
