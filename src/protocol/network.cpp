@@ -443,14 +443,20 @@ void Network::arrive(Message msg) {
         tracer_->end_span(t->span, queue_.now());
       }
       queue_.cancel(t->timer);
+      // An ack can overtake a retransmission of its own transfer.  The
+      // slot's delivered bit dies here, so remember the transfer in the
+      // orphan window: that copy then arrives as a duplicate, not as a
+      // second delivery.
+      const bool copy_in_flight = t->attempts > 1;
+      const NodeId dst = t->msg.dst;
       free_slot(msg.transfer_slot);
+      if (copy_in_flight) {
+        orphans_.insert(msg.transfer_id, dst);
+        return;
+      }
     }
     // Prune any orphan dedup record (the transfer can have been re-
-    // delivered after an earlier settle -- see receive()).  A
-    // retransmission still in flight when the ack settles can then be
-    // delivered a second time -- rare, and every protocol message is
-    // idempotent at the application layer (versioned updates,
-    // exactly-once join chains).
+    // delivered after an earlier settle -- see receive()).
     if (!orphans_.empty()) orphans_.erase(msg.transfer_id);
     return;
   }

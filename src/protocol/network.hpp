@@ -10,9 +10,9 @@
 // after a lost ack -- are suppressed by per-transfer de-duplication: a
 // delivered bit on the transfer's slot while the transfer is pending,
 // plus a small bounded window for arrivals that outlive their slot (a
-// retransmission still in flight at settle time can occasionally slip
-// through, which the idempotent node layer absorbs).  Counters record
-// the real wire traffic.
+// settle that leaves a retransmission in flight records the transfer
+// there, so that copy arrives as a duplicate).  Counters record the real
+// wire traffic.
 //
 // Storage (DESIGN.md, "Memory layout & arenas"): reliable transfers
 // live in a slot vector with free-list recycling -- the slot index
