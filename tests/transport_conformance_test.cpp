@@ -104,6 +104,41 @@ TEST_P(TransportConformance, DeliversEveryMessageExactlyOnceUnderLoss) {
   EXPECT_GT(t->stats().retransmits, 0u) << "30% loss must retransmit";
 }
 
+TEST_P(TransportConformance, AckOvertakingRetransmissionDeliversOnce) {
+  // A timeout shorter than the round trip: the retransmission leaves at
+  // ~1.5 L, so it is still on the wire when the first attempt's ack
+  // settles the transfer at 2 L.  That late copy must count as a
+  // duplicate, not as a second delivery.  20 ms keeps the ordering on a
+  // wall clock slowed down by a sanitizer.
+  constexpr double kLatency = 0.02;
+  NetworkConfig config;
+  config.latency = LatencyModel::fixed(kLatency);
+  config.retransmit_timeout = 1.5 * kLatency;
+  auto t = make(config);
+
+  std::size_t delivered = 0;
+  t->set_sink([&](const Message&) { ++delivered; });
+  t->set_abandon_handler([](const Message&) { FAIL() << "nothing may fail"; });
+
+  Message m = t->draft();
+  m.type = sim::MessageKind::kVoronoiUpdate;
+  m.src = 1;
+  m.dst = 2;
+  t->send(std::move(m));
+  const auto run = t->run_to_idle();
+  ASSERT_FALSE(run.budget_exhausted);
+
+  EXPECT_EQ(delivered, 1u) << t->backend_name();
+  EXPECT_EQ(t->stats().delivered, 1u) << t->backend_name();
+  EXPECT_EQ(t->in_flight(), 0u);
+  if (t->deterministic()) {
+    // On a virtual clock the race always happens: exactly one
+    // retransmission, and it arrives as the one duplicate.
+    EXPECT_EQ(t->stats().retransmits, 1u);
+    EXPECT_EQ(t->stats().duplicates, 1u);
+  }
+}
+
 TEST_P(TransportConformance, DedupSuppressesDuplicatesWithinBoundedWindow) {
   NetworkConfig config = fast_config();
   config.drop_probability = 0.2;
