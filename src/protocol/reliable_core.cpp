@@ -1,8 +1,7 @@
-#include "protocol/network.hpp"
+#include "protocol/reliable_core.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <utility>
+#include <string>
 
 #include "common/expect.hpp"
 #include "net/wire_format.hpp"
@@ -28,8 +27,8 @@ constexpr std::size_t kMaxPoolSize = 1024;
 
 }  // namespace
 
-Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
-    : queue_(queue), config_(config), rng_(config.seed) {
+ReliableCore::ReliableCore(const NetworkConfig& config, Link& link)
+    : config_(config), link_(link), rng_(config.seed) {
   VORONET_EXPECT(config.drop_probability >= 0.0 &&
                      config.drop_probability < 1.0,
                  "drop probability must lie in [0, 1)");
@@ -45,8 +44,8 @@ Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
   rto_cap_ = config.rto_cap > 0.0 ? config.rto_cap : 16.0 * rto_;
 }
 
-double Network::backoff_timeout(std::uint64_t transfer_id,
-                                std::size_t attempts) const {
+double ReliableCore::backoff_timeout(std::uint64_t transfer_id,
+                                     std::size_t attempts) const {
   // Attempt k waits min(rto * f^(k-1), cap): responsive to a single loss,
   // but a transfer stuck behind a loss burst / latency spike / stalled
   // receiver stops hammering the window.  pow() stays finite: the
@@ -69,7 +68,7 @@ double Network::backoff_timeout(std::uint64_t transfer_id,
   return timeout;
 }
 
-double Network::effective_drop() const {
+double ReliableCore::effective_drop() const {
   double drop = config_.drop_probability;
   for (const double extra : loss_bursts_) drop += extra;
   // Windows are finite (validated by the scenario layer), so a saturated
@@ -77,12 +76,26 @@ double Network::effective_drop() const {
   return std::min(drop, 1.0);
 }
 
+void ReliableCore::record(NodeId node, obs::FlightEvent event,
+                          const Message& msg, NodeId peer) {
+  recorder_->record(node, link_.now(), event, msg.type, peer, msg.version,
+                    msg.epoch);
+}
+
+void ReliableCore::hand_up(Upcall kind, const Message& msg) const {
+  if (kind == Upcall::kDeliver) {
+    if (sink_) sink_(msg);
+  } else if (abandon_) {
+    abandon_(msg);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Slot table / payload pool
+// Slot table / payload pool / orphan window
 // ---------------------------------------------------------------------------
 
-void Network::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
-                       bool on) {
+void ReliableCore::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
+                            bool on) {
   if (node < 0) return;
   const auto idx = static_cast<std::size_t>(node);
   if (idx >= flags.size()) {
@@ -92,14 +105,14 @@ void Network::set_flag(std::vector<std::uint8_t>& flags, NodeId node,
   flags[idx] = on ? 1 : 0;
 }
 
-Network::Transfer* Network::live_transfer(std::uint32_t slot,
-                                          std::uint64_t transfer_id) {
+ReliableCore::Transfer* ReliableCore::live_transfer(
+    std::uint32_t slot, std::uint64_t transfer_id) {
   if (slot == kNoTransferSlot || slot >= transfers_.size()) return nullptr;
   Transfer& t = transfers_[slot];
   return t.id == transfer_id ? &t : nullptr;
 }
 
-std::uint32_t Network::alloc_slot() {
+std::uint32_t ReliableCore::alloc_slot() {
   ++in_flight_;
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
@@ -110,7 +123,7 @@ std::uint32_t Network::alloc_slot() {
   return static_cast<std::uint32_t>(transfers_.size() - 1);
 }
 
-void Network::free_slot(std::uint32_t slot) {
+void ReliableCore::free_slot(std::uint32_t slot) {
   Transfer& t = transfers_[slot];
   recycle_payload(std::move(t.msg.entries));
   t.msg.entries.clear();
@@ -124,7 +137,7 @@ void Network::free_slot(std::uint32_t slot) {
   --in_flight_;
 }
 
-void Network::recycle_payload(std::vector<ViewEntry>&& entries) {
+void ReliableCore::recycle_payload(std::vector<ViewEntry>&& entries) {
   if (entries.capacity() == 0 || entries.capacity() > kMaxPooledPayload ||
       payload_pool_.size() >= kMaxPoolSize) {
     return;
@@ -133,7 +146,7 @@ void Network::recycle_payload(std::vector<ViewEntry>&& entries) {
   payload_pool_.push_back(std::move(entries));
 }
 
-Message Network::draft(std::size_t reserve_entries) {
+Message ReliableCore::draft(std::size_t reserve_entries) {
   Message m;
   if (!payload_pool_.empty()) {
     m.entries = std::move(payload_pool_.back());
@@ -143,8 +156,9 @@ Message Network::draft(std::size_t reserve_entries) {
   return m;
 }
 
-bool Network::OrphanWindow::insert(std::uint64_t transfer_id, NodeId dst) {
-  if (ring.empty()) ring.resize(Network::kOrphanDedupCapacity);
+bool ReliableCore::OrphanWindow::insert(std::uint64_t transfer_id,
+                                        NodeId dst) {
+  if (ring.empty()) ring.resize(Transport::kOrphanDedupCapacity);
   for (const Rec& r : ring) {
     if (r.transfer_id == transfer_id) return false;  // already recorded
   }
@@ -157,7 +171,7 @@ bool Network::OrphanWindow::insert(std::uint64_t transfer_id, NodeId dst) {
   return true;
 }
 
-void Network::OrphanWindow::erase(std::uint64_t transfer_id) {
+void ReliableCore::OrphanWindow::erase(std::uint64_t transfer_id) {
   for (Rec& r : ring) {
     if (r.transfer_id == transfer_id) {
       r = Rec{};
@@ -167,7 +181,7 @@ void Network::OrphanWindow::erase(std::uint64_t transfer_id) {
   }
 }
 
-void Network::OrphanWindow::erase_dst(NodeId dst) {
+void ReliableCore::OrphanWindow::erase_dst(NodeId dst) {
   for (Rec& r : ring) {
     if (r.transfer_id != 0 && r.dst == dst) {
       r = Rec{};
@@ -176,7 +190,7 @@ void Network::OrphanWindow::erase_dst(NodeId dst) {
   }
 }
 
-std::size_t Network::dedup_entries() const {
+std::size_t ReliableCore::dedup_entries() const {
   std::size_t n = orphans_.size();
   for (const Transfer& t : transfers_) {
     if (t.id != 0 && t.delivered) ++n;
@@ -184,7 +198,7 @@ std::size_t Network::dedup_entries() const {
   return n;
 }
 
-std::size_t Network::memory_bytes() const {
+std::size_t ReliableCore::memory_bytes() const {
   std::size_t b = transfers_.size() * sizeof(Transfer);
   for (const Transfer& t : transfers_) {
     b += t.msg.entries.capacity() * sizeof(ViewEntry);
@@ -207,72 +221,72 @@ std::size_t Network::memory_bytes() const {
 // Send / failure injection
 // ---------------------------------------------------------------------------
 
-void Network::send(Message msg) {
+void ReliableCore::send(Message msg) {
   msg.transfer_id = next_transfer_++;
   ++stats_.sends;
-  const bool reliable = msg.type != sim::MessageKind::kAck;
-  obs::SpanId span = obs::kNoSpan;
-  std::uint32_t slot = kNoTransferSlot;
-  if (reliable) {
-    slot = alloc_slot();
-    msg.transfer_slot = slot;
+  if (msg.type == sim::MessageKind::kAck) {
+    transmit(msg);
+    recycle_payload(std::move(msg.entries));
+    return;
   }
-  if (reliable && tracing()) {
+  const std::uint32_t slot = alloc_slot();
+  msg.transfer_slot = slot;
+  obs::SpanId span = obs::kNoSpan;
+  if (tracing()) {
     // One span per reliable transfer, parented to the message's carried
     // (application-level) span; its instants record the retransmission
     // timeline, its end the settle or abandonment.
     std::string name = "xfer:";
     name += sim::message_kind_name(msg.type);
-    span = tracer_->begin_span(queue_.now(), name, msg.src, msg.span);
+    span = tracer_->begin_span(link_.now(), name, msg.src, msg.span);
     tracer_->arg(span, "dst",
                  static_cast<std::uint64_t>(static_cast<std::int64_t>(msg.dst)));
     tracer_->arg(span, "transfer", msg.transfer_id);
   }
-  if (reliable && recording()) {
-    recorder_->record(msg.src, queue_.now(), obs::FlightEvent::kSend,
-                      msg.type, msg.dst, msg.version, msg.epoch);
-  }
+  if (recording()) record(msg.src, obs::FlightEvent::kSend, msg, msg.dst);
   transmit(msg);
-  if (reliable) {
-    Transfer& t = transfers_[slot];
-    t.id = msg.transfer_id;
-    recycle_payload(std::move(t.msg.entries));  // retire previous payload
-    t.msg = std::move(msg);
-    t.attempts = 1;
-    t.span = span;
-    t.delivered = false;
-    arm_timer(slot);
-  }
+  Transfer& t = transfers_[slot];
+  t.id = msg.transfer_id;
+  recycle_payload(std::move(t.msg.entries));  // retire previous payload
+  t.msg = std::move(msg);
+  t.attempts = 1;
+  t.span = span;
+  t.delivered = false;
+  arm_timer(t);
 }
 
-void Network::crash(NodeId node) {
-  if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kCrash,
-                      sim::MessageKind::kCount, -1);
-  }
-  set_flag(crashed_, node, true);
-  // A crashed node's wedged process dies with the host: discard the
-  // parked backlog instead of delivering it to a corpse on resume.
-  set_flag(stalled_, node, false);
+void ReliableCore::drop_backlog(NodeId node) {
   if (node >= 0 && static_cast<std::size_t>(node) < stall_backlog_.size()) {
     backlog_count_ -= stall_backlog_[static_cast<std::size_t>(node)].size();
     stall_backlog_[static_cast<std::size_t>(node)].clear();
   }
 }
 
-void Network::stall(NodeId node) {
+void ReliableCore::crash(NodeId node) {
+  if (recording()) {
+    recorder_->record(node, link_.now(), obs::FlightEvent::kCrash,
+                      sim::MessageKind::kCount, -1);
+  }
+  set_flag(crashed_, node, true);
+  // A crashed node's wedged process dies with the host: discard the
+  // parked backlog instead of delivering it to a corpse on resume.
+  set_flag(stalled_, node, false);
+  drop_backlog(node);
+}
+
+void ReliableCore::stall(NodeId node) {
   if (crashed(node)) return;  // dead beats wedged
   if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kStall,
+    recorder_->record(node, link_.now(), obs::FlightEvent::kStall,
                       sim::MessageKind::kCount, -1);
   }
   set_flag(stalled_, node, true);
 }
 
-void Network::resume(NodeId node) {
+void ReliableCore::resume(NodeId node) {
   if (!stalled(node)) return;
   if (recording()) {
-    recorder_->record(node, queue_.now(), obs::FlightEvent::kResume,
+    recorder_->record(node, link_.now(), obs::FlightEvent::kResume,
                       sim::MessageKind::kCount, -1);
   }
   set_flag(stalled_, node, false);
@@ -289,131 +303,80 @@ void Network::resume(NodeId node) {
   for (Message& msg : backlog) receive(std::move(msg));
 }
 
-void Network::resume_all() {
-  // Deterministic drain order: ascending node id (the dense bitmap's
-  // natural scan order -- previously an explicit sort over a hash set).
+void ReliableCore::resume_all() {
+  // Deterministic drain order: ascending node id.
   for (std::size_t n = 0; n < stalled_.size(); ++n) {
     if (stalled_[n] != 0) resume(static_cast<NodeId>(n));
   }
 }
 
-void Network::begin_loss_burst(double extra_drop) {
-  loss_bursts_.push_back(extra_drop);
-}
-
-void Network::end_loss_burst(double extra_drop) {
-  const auto it =
-      std::find(loss_bursts_.begin(), loss_bursts_.end(), extra_drop);
-  if (it != loss_bursts_.end()) loss_bursts_.erase(it);
-}
-
-void Network::begin_latency_spike(double factor) {
-  latency_spikes_.push_back(factor);
-}
-
-void Network::end_latency_spike(double factor) {
-  const auto it =
-      std::find(latency_spikes_.begin(), latency_spikes_.end(), factor);
-  if (it != latency_spikes_.end()) latency_spikes_.erase(it);
-}
-
-void Network::begin_duplication(double probability) {
-  duplications_.push_back(probability);
-}
-
-void Network::end_duplication(double probability) {
-  const auto it =
-      std::find(duplications_.begin(), duplications_.end(), probability);
-  if (it != duplications_.end()) duplications_.erase(it);
-}
-
-void Network::revive(NodeId node) {
-  // A recycled id is a brand-new endpoint: it must not inherit its
-  // predecessor's unsettled transfers either.  A reliable transfer still
-  // armed from the dead predecessor's era would otherwise retransmit into
-  // the new endpoint (stale content, fresh dedup table) or resend on the
-  // dead sender's behalf.  Abandon them through the regular give-up path
-  // -- BEFORE clearing the crashed mark, so the application layer's
-  // abandon handler still observes which side died and can re-ship
-  // authoritative content from a live witness.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> stale;
+std::vector<std::pair<std::uint64_t, std::uint32_t>>
+ReliableCore::transfers_touching(NodeId node) const {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
   for (std::uint32_t slot = 0; slot < transfers_.size(); ++slot) {
     const Transfer& t = transfers_[slot];
     if (t.id != 0 && (t.msg.src == node || t.msg.dst == node)) {
-      stale.emplace_back(t.id, slot);
+      out.emplace_back(t.id, slot);
     }
   }
-  // Abandon in ascending transfer-id order: the abandon handler may send
-  // fresh messages, so the order is semantic -- it must be a property of
-  // the run, not of the slot table's recycling history.
-  std::sort(stale.begin(), stale.end());
-  for (const auto& [id, slot] : stale) {
-    if (transfers_[slot].id != id) continue;  // settled by a handler's send
-    queue_.cancel(transfers_[slot].timer);
-    abandon_transfer(slot);
-  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ReliableCore::clear_residue(NodeId node) {
   set_flag(crashed_, node, false);
-  // ... nor its predecessor's dedup history, stall window, or flight-
-  // recorder ring (the ring is per-endpoint history; a recycled id is a
-  // different endpoint).
+  // The predecessor's dedup history, stall window and flight-recorder
+  // ring go too: a recycled id is a different endpoint.
   if (!orphans_.empty()) orphans_.erase_dst(node);
   set_flag(stalled_, node, false);
-  if (node >= 0 && static_cast<std::size_t>(node) < stall_backlog_.size()) {
-    backlog_count_ -= stall_backlog_[static_cast<std::size_t>(node)].size();
-    stall_backlog_[static_cast<std::size_t>(node)].clear();
-  }
+  drop_backlog(node);
   if (recorder_ != nullptr) recorder_->reset_node(node);
 }
 
-void Network::abandon_transfer(std::uint32_t slot) {
+Message ReliableCore::take_abandoned(std::uint32_t slot) {
   Transfer& t = transfers_[slot];
   ++stats_.abandoned;
   metrics_.record_transfer_attempts(t.attempts);
   if (tracing() && t.span != obs::kNoSpan) {
     tracer_->arg(t.span, "attempts", t.attempts);
     tracer_->arg(t.span, "abandoned", std::uint64_t{1});
-    tracer_->end_span(t.span, queue_.now());
+    tracer_->end_span(t.span, link_.now());
   }
-  if (recording()) {
-    recorder_->record(t.msg.src, queue_.now(), obs::FlightEvent::kAbandon,
-                      t.msg.type, t.msg.dst, t.msg.version, t.msg.epoch);
-  }
+  if (recording()) record(t.msg.src, obs::FlightEvent::kAbandon, t.msg, t.msg.dst);
   // The settling ack will never come; the delivered bit dies with the
   // slot, which keeps the dedup state bounded by the in-flight count.
   Message msg = std::move(t.msg);
   free_slot(slot);
-  // Tell the application layer last: the handler may send afresh (and may
-  // reoccupy this very slot -- `t` is dead past this point).
-  if (abandon_) abandon_(msg);
-  recycle_payload(std::move(msg.entries));
+  return msg;
 }
 
 // ---------------------------------------------------------------------------
 // Wire
 // ---------------------------------------------------------------------------
 
-void Network::transmit(const Message& msg) {
+double ReliableCore::sample_delay() {
+  double delay = config_.latency.sample(rng_);
+  for (const double factor : latency_spikes_) delay *= factor;
+  return delay;
+}
+
+void ReliableCore::transmit(const Message& msg) {
+  const std::size_t bytes = net::wire_frame_size(msg);
   ++stats_.transmissions;
   metrics_.count_message(msg.type);
-  metrics_.count_wire_bytes(msg.type, net::wire_frame_size(msg));
-  stats_.wire_bytes += net::wire_frame_size(msg);
+  metrics_.count_wire_bytes(msg.type, bytes);
+  stats_.wire_bytes += bytes;
   if (msg.type == sim::MessageKind::kAck) ++stats_.acks;
   const bool link_down = link_up_ && !link_up_(msg.src, msg.dst);
   const double drop = effective_drop();
   if (link_down || (drop > 0.0 && rng_.chance(drop))) {
     ++stats_.dropped;
     if (recording() && msg.type != sim::MessageKind::kAck) {
-      recorder_->record(msg.src, queue_.now(), obs::FlightEvent::kDrop,
-                        msg.type, msg.dst, msg.version, msg.epoch);
+      record(msg.src, obs::FlightEvent::kDrop, msg, msg.dst);
     }
     return;
   }
-  double delay = config_.latency.sample(rng_);
-  for (const double factor : latency_spikes_) delay *= factor;
-  // One payload copy per wire attempt (the closure capture); arrive()
-  // consumes it by move and recycles the vector into the draft pool.
-  queue_.schedule(delay,
-                  [this, m = msg]() mutable { arrive(std::move(m)); });
+  link_.carry(msg, sample_delay());
   if (!duplications_.empty()) {
     // Duplication window: the strongest open window's probability wins
     // (overlapping windows model one flaky path, not independent copies).
@@ -421,51 +384,25 @@ void Network::transmit(const Message& msg) {
         *std::max_element(duplications_.begin(), duplications_.end());
     if (dup > 0.0 && rng_.chance(dup)) {
       ++stats_.injected_duplicates;
-      double dup_delay = config_.latency.sample(rng_);
-      for (const double factor : latency_spikes_) dup_delay *= factor;
-      queue_.schedule(dup_delay,
-                      [this, m = msg]() mutable { arrive(std::move(m)); });
+      link_.carry(msg, sample_delay());
     }
   }
 }
 
-void Network::arrive(Message msg) {
+void ReliableCore::arrive(Message msg) {
   if (msg.type == sim::MessageKind::kAck) {
     // Transport-internal: settle the acknowledged transfer.  This runs
     // even when the original sender has crashed since -- the pending
     // entry is sender-side transport state that must not retransmit
     // forever on behalf of a dead node.  Acks also settle for a stalled
     // sender: the transport state machine lives below the wedged process.
-    if (Transfer* t = live_transfer(msg.transfer_slot, msg.transfer_id)) {
-      metrics_.record_transfer_attempts(t->attempts);
-      if (tracing() && t->span != obs::kNoSpan) {
-        tracer_->arg(t->span, "attempts", t->attempts);
-        tracer_->end_span(t->span, queue_.now());
-      }
-      queue_.cancel(t->timer);
-      // An ack can overtake a retransmission of its own transfer.  The
-      // slot's delivered bit dies here, so remember the transfer in the
-      // orphan window: that copy then arrives as a duplicate, not as a
-      // second delivery.
-      const bool copy_in_flight = t->attempts > 1;
-      const NodeId dst = t->msg.dst;
-      free_slot(msg.transfer_slot);
-      if (copy_in_flight) {
-        orphans_.insert(msg.transfer_id, dst);
-        return;
-      }
-    }
-    // Prune any orphan dedup record (the transfer can have been re-
-    // delivered after an earlier settle -- see receive()).
-    if (!orphans_.empty()) orphans_.erase(msg.transfer_id);
+    settle(msg.transfer_slot, msg.transfer_id);
+    recycle_payload(std::move(msg.entries));
     return;
   }
   if (crashed(msg.dst)) {
     ++stats_.dropped;
-    if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDrop,
-                        msg.type, msg.src, msg.version, msg.epoch);
-    }
+    if (recording()) record(msg.dst, obs::FlightEvent::kDrop, msg, msg.src);
     recycle_payload(std::move(msg.entries));
     return;
   }
@@ -475,10 +412,7 @@ void Network::arrive(Message msg) {
     // failure detector sees exactly what a crash looks like; only time
     // (resume before its patience runs out) tells the two apart.
     ++stats_.stalled_deferred;
-    if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kParked,
-                        msg.type, msg.src, msg.version, msg.epoch);
-    }
+    if (recording()) record(msg.dst, obs::FlightEvent::kParked, msg, msg.src);
     const auto idx = static_cast<std::size_t>(msg.dst);
     if (idx >= stall_backlog_.size()) stall_backlog_.resize(idx + 1);
     stall_backlog_[idx].push_back(std::move(msg));
@@ -488,7 +422,32 @@ void Network::arrive(Message msg) {
   receive(std::move(msg));
 }
 
-void Network::receive(Message msg) {
+void ReliableCore::settle(std::uint32_t slot, std::uint64_t transfer_id) {
+  if (Transfer* t = live_transfer(slot, transfer_id)) {
+    metrics_.record_transfer_attempts(t->attempts);
+    if (tracing() && t->span != obs::kNoSpan) {
+      tracer_->arg(t->span, "attempts", t->attempts);
+      tracer_->end_span(t->span, link_.now());
+    }
+    link_.cancel_retransmit(t->timer);
+    // An ack can overtake a retransmission of its own transfer.  The
+    // slot's delivered bit dies here, so remember the transfer in the
+    // orphan window: that copy then arrives as a duplicate, not as a
+    // second delivery.
+    const bool copy_in_flight = t->attempts > 1;
+    const NodeId dst = t->msg.dst;
+    free_slot(slot);
+    if (copy_in_flight) {
+      orphans_.insert(transfer_id, dst);
+      return;
+    }
+  }
+  // Prune any orphan dedup record (the transfer can have been re-
+  // delivered after an earlier settle -- see receive()).
+  if (!orphans_.empty()) orphans_.erase(transfer_id);
+}
+
+void ReliableCore::receive(Message msg) {
   // Acknowledge every reliable arrival, duplicates included (the previous
   // ack may be the thing that got lost).
   Message ack;
@@ -512,32 +471,22 @@ void Network::receive(Message msg) {
   if (!fresh) {
     ++stats_.duplicates;
     if (recording()) {
-      recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDuplicate,
-                        msg.type, msg.src, msg.version, msg.epoch);
+      record(msg.dst, obs::FlightEvent::kDuplicate, msg, msg.src);
     }
     recycle_payload(std::move(msg.entries));
     return;
   }
   ++stats_.delivered;
-  if (recording()) {
-    recorder_->record(msg.dst, queue_.now(), obs::FlightEvent::kDeliver,
-                      msg.type, msg.src, msg.version, msg.epoch);
-  }
-  if (sink_) sink_(msg);
-  recycle_payload(std::move(msg.entries));
+  if (recording()) record(msg.dst, obs::FlightEvent::kDeliver, msg, msg.src);
+  link_.upcall(Upcall::kDeliver, std::move(msg));
 }
 
-void Network::arm_timer(std::uint32_t slot) {
-  Transfer& t = transfers_[slot];
+void ReliableCore::arm_timer(Transfer& t) {
   VORONET_DCHECK(t.id != 0);
-  const double timeout = backoff_timeout(t.id, t.attempts);
-  const std::uint64_t id = t.id;
-  t.timer = queue_.schedule_timer(timeout, [this, slot, id] {
-    on_timeout(slot, id);
-  });
+  t.timer = link_.arm_retransmit(t.msg, backoff_timeout(t.id, t.attempts));
 }
 
-void Network::on_timeout(std::uint32_t slot, std::uint64_t transfer_id) {
+void ReliableCore::retransmit(std::uint32_t slot, std::uint64_t transfer_id) {
   Transfer* t = live_transfer(slot, transfer_id);
   if (t == nullptr) return;  // acknowledged in the meantime
   // Give up when either endpoint crashed -- a crash-stop sender can never
@@ -546,22 +495,22 @@ void Network::on_timeout(std::uint32_t slot, std::uint64_t transfer_id) {
       crashed(t->msg.dst) || crashed(t->msg.src) ||
       (config_.max_retries > 0 && t->attempts > config_.max_retries);
   if (give_up) {
-    abandon_transfer(slot);
+    // The handler may send afresh, and may reoccupy this very slot.
+    link_.upcall(Upcall::kAbandon, take_abandoned(slot));
     return;
   }
   ++t->attempts;
   ++stats_.retransmits;
   if (tracing() && t->span != obs::kNoSpan) {
-    const obs::SpanId i = tracer_->instant(queue_.now(), "retransmit",
+    const obs::SpanId i = tracer_->instant(link_.now(), "retransmit",
                                            t->msg.src, t->span);
     tracer_->arg(i, "attempt", t->attempts);
   }
   if (recording()) {
-    recorder_->record(t->msg.src, queue_.now(), obs::FlightEvent::kRetransmit,
-                      t->msg.type, t->msg.dst, t->msg.version, t->msg.epoch);
+    record(t->msg.src, obs::FlightEvent::kRetransmit, t->msg, t->msg.dst);
   }
   transmit(t->msg);
-  arm_timer(slot);
+  arm_timer(*t);
 }
 
 }  // namespace voronet::protocol

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "protocol/network.hpp"
+#include "protocol/sim_transport.hpp"
 #include "sim/event_queue.hpp"
 
 namespace voronet::protocol {
@@ -102,10 +102,9 @@ TEST(LatencyModel, ZeroLatencyPreservesIssueOrder) {
   // The synchronous limit the differential quiescence tests rely on:
   // with delay 0 every message still travels through the event queue,
   // and FIFO tie-breaking must deliver them in exactly the issue order.
-  sim::EventQueue queue;
   NetworkConfig config;
   config.latency = LatencyModel::fixed(0.0);
-  Network net(queue, config);
+  SimTransport net(config);
   std::vector<std::uint64_t> delivered;
   net.set_sink([&](const Message& m) { delivered.push_back(m.version); });
 
@@ -118,7 +117,7 @@ TEST(LatencyModel, ZeroLatencyPreservesIssueOrder) {
     m.version = i;  // issue-order stamp
     net.send(m);
   }
-  const auto run = queue.run_to_idle();
+  const auto run = net.run_to_idle();
   ASSERT_FALSE(run.budget_exhausted);
   ASSERT_EQ(delivered.size(), kMessages);
   for (std::uint64_t i = 0; i < kMessages; ++i) {

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "protocol/network.hpp"
+#include "protocol/sim_transport.hpp"
 #include "workload/distributions.hpp"
 
 namespace voronet::protocol {
@@ -231,10 +231,9 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
   // cleared the dedup table, so a predecessor-era retransmission was
   // delivered to the brand-new endpoint (receiver side), and a dead
   // sender's unacked transfers came back to life with the recycled id.
-  sim::EventQueue queue;
   NetworkConfig config;
   config.latency = LatencyModel::fixed(0.05);
-  Network net(queue, config);
+  SimTransport net(config);
   std::size_t delivered = 0;
   std::vector<Message> abandoned;
   net.set_sink([&](const Message&) { ++delivered; });
@@ -254,7 +253,7 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
   from_victim.dst = 2;  // self-addressed: dies with the endpoint
   net.send(from_victim);
   net.crash(2);
-  (void)queue.run_until(0.06);  // arrivals dropped at the dead endpoint
+  (void)net.run_until(0.06);  // arrivals dropped at the dead endpoint
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(net.in_flight(), 2u);
 
@@ -267,7 +266,7 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
   EXPECT_EQ(net.stats().abandoned, 2u);
 
   // ... and nothing stale may reach the new endpoint afterwards.
-  const auto run = queue.run_to_idle();
+  const auto run = net.run_to_idle();
   ASSERT_FALSE(run.budget_exhausted);
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(net.stats().retransmits, 0u);
@@ -278,13 +277,13 @@ TEST(ProtocolEngine, ReviveAbandonsPredecessorEraTransfers) {
   fresh.src = 1;
   fresh.dst = 2;
   net.send(fresh);
-  (void)queue.run_to_idle();
+  (void)net.run_to_idle();
   EXPECT_EQ(delivered, 1u);
 }
 
 TEST(ProtocolEngine, RecycledIdInheritsNoPredecessorTransfers) {
-  // Regression: Network::revive() cleared the recycled id's receiver-side
-  // dedup but left predecessor-era reliable transfers armed, so a
+  // Regression: the transport's revive() cleared the recycled id's
+  // receiver-side dedup but left predecessor-era reliable transfers armed, so a
   // retransmission addressed to (or sent by) the dead predecessor could
   // deliver stale view content to the brand-new endpoint -- content with
   // a version counter ahead of the fresh node's zero, hence applied.

@@ -37,16 +37,12 @@ class TransportConformance : public ::testing::TestWithParam<Backend> {
  protected:
   static std::unique_ptr<Transport> make(const NetworkConfig& config) {
     if (GetParam() == Backend::kThread) {
-      return std::make_unique<ThreadTransport>(config, /*shards=*/2,
-                                               /*patience=*/30.0);
+      return std::make_unique<ThreadTransport>(config, /*shards=*/2);
     }
     if (GetParam() == Backend::kSocket) {
       // Loopback over a Unix-domain socket: every frame and ack crosses
       // the kernel and comes back in through accept().
-      net::SocketTransportConfig socket_config;
-      socket_config.patience = 30.0;
-      return std::make_unique<net::SocketTransport>(config,
-                                                    std::move(socket_config));
+      return std::make_unique<net::SocketTransport>(config);
     }
     return std::make_unique<SimTransport>(config);
   }
