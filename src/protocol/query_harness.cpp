@@ -399,66 +399,6 @@ void QueryHarness::schedule_event(
   }
 }
 
-// ---------------------------------------------------------------------------
-// Churn-concurrent scenario driver (deprecated shim)
-// ---------------------------------------------------------------------------
-
-std::vector<scenario::Event> QueryHarness::ChurnScenario::events() const {
-  using scenario::Event;
-  using scenario::QueryMix;
-  using scenario::Spread;
-  return {
-      Event::join_burst(0.0, joins, horizon, Spread::kUniform),
-      Event::leave(0.0, leaves, horizon, min_population),
-      Event::crash(0.0, crashes, horizon, min_population),
-      Event::query_stream(0.0, queries, horizon, QueryMix::kMixed,
-                          Spread::kUniform),
-  };
-}
-
-QueryHarness::ChurnScenarioReport QueryHarness::run_churn_scenario(
-    const ChurnScenario& s) {
-  VORONET_EXPECT(harness_.node_count() > 0,
-                 "churn scenario needs a populated overlay (populate())");
-  // One shared context drives both the schedule-time draws (times, query
-  // specs) and the fire-time draws (leave/crash victims are chosen from
-  // the population alive at that instant); event order is deterministic,
-  // so the whole scenario replays bit-for-bit from the seed.
-  const auto ctx = std::make_shared<ScheduleContext>(
-      s.seed, workload::DistributionConfig::uniform());
-  const double t0 = harness_.network().now();
-  for (const scenario::Event& e : s.events()) schedule_event(e, t0, ctx);
-
-  const auto run = harness_.run_to_idle();
-
-  ChurnScenarioReport rep;
-  rep.queries = ctx->query_ids.size();
-  rep.quiesced = !run.budget_exhausted;
-  rep.converged = harness_.verify_views().converged();
-  double recall_sum = 0.0;
-  double precision_sum = 0.0;
-  for (const std::uint64_t id : ctx->query_ids) {
-    const Differential d = collect(id);
-    if (!d.completed) continue;
-    ++rep.completed;
-    const double r = d.recall();
-    const double p = d.precision();
-    recall_sum += r;
-    precision_sum += p;
-    rep.min_recall = std::min(rep.min_recall, r);
-    rep.min_precision = std::min(rep.min_precision, p);
-    if (r == 1.0 && p == 1.0) ++rep.exact;
-    if (d.msg.epoch > 1) ++rep.reissued;
-    rep.max_epochs = std::max(rep.max_epochs, d.msg.epoch);
-    rep.branch_failovers += d.msg.branch_failovers;
-  }
-  if (rep.completed > 0) {
-    rep.mean_recall = recall_sum / static_cast<double>(rep.completed);
-    rep.mean_precision = precision_sum / static_cast<double>(rep.completed);
-  }
-  return rep;
-}
-
 QueryHarness::Differential QueryHarness::run_range(NodeId from, Vec2 a,
                                                    Vec2 b,
                                                    double tolerance) {

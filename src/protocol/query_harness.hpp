@@ -25,8 +25,7 @@
 // queries -- on the harness's event queue, drawing every stochastic
 // choice from a shared ScheduleContext so a timeline replays bit-for-bit
 // from its seed.  scenario::Runner composes these into full scenario
-// executions; the ChurnScenario struct below survives only as a thin
-// shim over the same vocabulary.
+// executions.
 #pragma once
 
 #include <cstdint>
@@ -129,45 +128,6 @@ class QueryHarness {
   /// queue, and are rejected here -- scenario::Runner handles them.
   void schedule_event(const scenario::Event& event, double t0,
                       const std::shared_ptr<ScheduleContext>& ctx);
-
-  // --- Churn-concurrent scenario driver (deprecated shim) ------------------
-  //
-  // The original one-off churn driver, now a thin wrapper that expands
-  // into scenario events and schedules them through schedule_event().
-  // New code should build a scenario::Scenario and use scenario::Runner,
-  // which adds barriers, partitions and a full serializable report.
-
-  struct ChurnScenario {
-    std::size_t joins = 0;
-    std::size_t leaves = 0;
-    std::size_t crashes = 0;
-    std::size_t queries = 0;
-    double horizon = 2.0;  ///< ops land uniformly in [0, horizon]
-    /// Leaves/crashes are skipped when the population is at or below
-    /// this floor (a scenario must not tear the overlay down entirely).
-    std::size_t min_population = 16;
-    std::uint64_t seed = 0xc4a12ULL;
-
-    /// The equivalent timeline in the unified event vocabulary.
-    [[nodiscard]] std::vector<scenario::Event> events() const;
-  };
-
-  struct ChurnScenarioReport {
-    std::size_t queries = 0;
-    std::size_t completed = 0;
-    std::size_t exact = 0;     ///< recall == precision == 1 at quiescence
-    std::size_t reissued = 0;  ///< queries that needed more than one epoch
-    std::uint32_t max_epochs = 0;
-    std::uint64_t branch_failovers = 0;
-    double mean_recall = 1.0, min_recall = 1.0;
-    double mean_precision = 1.0, min_precision = 1.0;
-    bool quiesced = false;   ///< event queue drained within budget
-    bool converged = false;  ///< strict verify_views at quiescence
-  };
-
-  /// Run one scenario to quiescence and grade every query.  The overlay
-  /// must already be populated (populate()).
-  ChurnScenarioReport run_churn_scenario(const ChurnScenario& s);
 
   [[nodiscard]] ProtocolHarness& harness() { return harness_; }
   [[nodiscard]] const ProtocolHarness& harness() const { return harness_; }

@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "protocol/message.hpp"
+#include "scenario/runner.hpp"
 #include "voronet/object_id.hpp"
 #include "workload/distributions.hpp"
 
@@ -299,21 +300,27 @@ TEST(QueryEngine, ChurnConcurrentScenario) {
   // post-quiescence ground truth (queries that finished before later
   // churn legitimately reflect an earlier topology, so recall /
   // precision are bounded, not asserted exact).
-  HarnessConfig config = make_config(73);
-  config.network.latency = LatencyModel::uniform(0.005, 0.05);
-  config.network.drop_probability = 0.1;
-  config.failure_detect_delay = 0.25;
-  QueryHarness qh(config);
-  qh.populate(250, 73);
-
-  QueryHarness::ChurnScenario s;
-  s.joins = 25;
-  s.leaves = 20;
-  s.crashes = 12;
-  s.queries = 40;
-  s.horizon = 2.5;
+  scenario::Scenario s;
+  s.name = "churn-concurrent";
+  s.population = 250;
+  s.n_max = 4096;
   s.seed = 73;
-  const auto rep = qh.run_churn_scenario(s);
+  s.latency = LatencyModel::uniform(0.005, 0.05);
+  s.loss = 0.1;
+  s.failure_detect_delay = 0.25;
+  constexpr double kHorizon = 2.5;
+  constexpr std::size_t kFloor = 16;  // leaves/crashes skip below this
+  s.timeline = {
+      scenario::Event::join_burst(0.0, 25, kHorizon, scenario::Spread::kUniform),
+      scenario::Event::leave(0.0, 20, kHorizon, kFloor),
+      scenario::Event::crash(0.0, 12, kHorizon, kFloor),
+      scenario::Event::query_stream(0.0, 40, kHorizon,
+                                    scenario::QueryMix::kMixed,
+                                    scenario::Spread::kUniform),
+  };
+  scenario::Runner runner(s);
+  const scenario::Report rep = runner.run();
+  QueryHarness& qh = runner.harness();
 
   EXPECT_TRUE(rep.quiesced);
   EXPECT_EQ(rep.completed, rep.queries);
