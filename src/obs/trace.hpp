@@ -8,9 +8,9 @@
 // reliable transfer's attempt timeline hang off one causal tree.
 //
 // Zero cost when off: every record_* call is guarded by enabled(), and
-// the instrumentation sites in protocol::Network / ProtocolHarness guard
-// themselves too, so a disabled tracer costs one predictable branch per
-// site (asserted by bench_protocol staying flat).
+// the instrumentation sites in protocol::ReliableCore / ProtocolHarness
+// guard themselves too, so a disabled tracer costs one predictable branch
+// per site (asserted by bench_protocol staying flat).
 //
 // Determinism: span ids are assigned in event-execution order, times are
 // simulated times, and export uses the repo's ordered Json writer -- the

@@ -5,7 +5,7 @@
 //   * the *computation* runs on the shared Overlay (DESIGN.md,
 //     Substitution 1: the tessellation is the one true geometry);
 //   * the *dissemination* runs as real messages: the resulting view
-//     deltas travel to each affected ProtocolNode through the Network,
+//     deltas travel to each affected ProtocolNode through the Transport,
 //     subject to latency, loss, partitions and crash-stop failures.
 //
 // Joins additionally route at the message level: the join request hops
@@ -273,7 +273,7 @@ class ProtocolHarness {
   struct MemoryBreakdown {
     std::size_t view_bytes = 0;       ///< shared ViewArena (all spans)
     std::size_t slot_bytes = 0;       ///< node slot table + roster
-    std::size_t transport_bytes = 0;  ///< Network-owned state
+    std::size_t transport_bytes = 0;  ///< Transport-owned state
     std::size_t query_bytes = 0;      ///< flood/echo state + records
     [[nodiscard]] std::size_t total() const {
       return view_bytes + slot_bytes + transport_bytes + query_bytes;
@@ -285,14 +285,14 @@ class ProtocolHarness {
   //
   // The harness owns one Tracer and one FlightRecorder (both off by
   // default -- zero cost beyond a branch per instrumentation site) and
-  // installs them into the Network.  With the tracer enabled, every query
+  // installs them into the Transport.  With the tracer enabled, every query
   // grows a causal span tree: a "query" root span at the issuer, one
   // "epoch" span per flood epoch, "route_hop" instants along the greedy
   // chain, a "serve" span per flood participant (parented to the serve
   // span that forwarded to it), "stale_entry" / "branch_abort" instants
   // explaining taints, and "reissue" instants when an epoch is
   // superseded; joins grow a "join" span with their route hops, and the
-  // Network adds one "xfer:<kind>" span per reliable transfer.
+  // transport adds one "xfer:<kind>" span per reliable transfer.
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
   [[nodiscard]] obs::FlightRecorder& recorder() { return recorder_; }
@@ -335,7 +335,7 @@ class ProtocolHarness {
     std::uint32_t roster_pos = 0;  ///< index into roster_ while live
     bool live = false;
     /// Previous holder departed: the next registration of this id must
-    /// Network::revive() it (recycled-id hygiene); fresh ids skip the
+    /// Transport::revive() it (recycled-id hygiene); fresh ids skip the
     /// in-flight scan.
     bool dead_mark = false;
   };

@@ -239,8 +239,8 @@ void ReliableCore::send(Message msg) {
     std::string name = "xfer:";
     name += sim::message_kind_name(msg.type);
     span = tracer_->begin_span(link_.now(), name, msg.src, msg.span);
-    tracer_->arg(span, "dst",
-                 static_cast<std::uint64_t>(static_cast<std::int64_t>(msg.dst)));
+    tracer_->arg(span, "dst", static_cast<std::uint64_t>(
+                                  static_cast<std::int64_t>(msg.dst)));
     tracer_->arg(span, "transfer", msg.transfer_id);
   }
   if (recording()) record(msg.src, obs::FlightEvent::kSend, msg, msg.dst);
@@ -342,7 +342,9 @@ Message ReliableCore::take_abandoned(std::uint32_t slot) {
     tracer_->arg(t.span, "abandoned", std::uint64_t{1});
     tracer_->end_span(t.span, link_.now());
   }
-  if (recording()) record(t.msg.src, obs::FlightEvent::kAbandon, t.msg, t.msg.dst);
+  if (recording()) {
+    record(t.msg.src, obs::FlightEvent::kAbandon, t.msg, t.msg.dst);
+  }
   // The settling ack will never come; the delivered bit dies with the
   // slot, which keeps the dedup state bounded by the in-flight count.
   Message msg = std::move(t.msg);

@@ -163,10 +163,18 @@ class ReliableCore {
   /// Degradation windows.  Windows nest: drop probabilities add (clamped
   /// to 1), latency factors multiply, duplication takes the strongest
   /// window.  end_* removes one matching begin_*.
-  void begin_loss_burst(double extra_drop) { loss_bursts_.push_back(extra_drop); }
-  void end_loss_burst(double extra_drop) { close_window(loss_bursts_, extra_drop); }
-  void begin_latency_spike(double factor) { latency_spikes_.push_back(factor); }
-  void end_latency_spike(double factor) { close_window(latency_spikes_, factor); }
+  void begin_loss_burst(double extra_drop) {
+    loss_bursts_.push_back(extra_drop);
+  }
+  void end_loss_burst(double extra_drop) {
+    close_window(loss_bursts_, extra_drop);
+  }
+  void begin_latency_spike(double factor) {
+    latency_spikes_.push_back(factor);
+  }
+  void end_latency_spike(double factor) {
+    close_window(latency_spikes_, factor);
+  }
   void begin_duplication(double probability) {
     duplications_.push_back(probability);
   }

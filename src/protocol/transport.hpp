@@ -2,28 +2,35 @@
 //
 // Everything above the wire -- ProtocolHarness, the query engine, the
 // serving front-end, the obs hooks -- talks to this interface and never
-// to a concrete backend.  Three implementations exist:
+// to a concrete backend.  Every backend is one reliable-delivery core
+// (reliable_core.hpp) over a thin link that only carries wire attempts,
+// arms retransmit timers and hands deliveries to the driver:
 //
-//   * SimTransport (sim_transport.hpp): the deterministic discrete-event
-//     backend -- protocol::Network driven by sim::EventQueue.  Same
-//     scenario + seed => bit-identical runs; every committed golden
-//     replay pins that this seam did not move the sim semantics.
-//   * ThreadTransport (thread_transport.hpp): in-process actor threads
-//     with per-node MPSC mailboxes and real monotonic-clock timers.
+//   * SimTransport (sim_transport.hpp): the core over a sim::EventQueue
+//     link.  Same scenario + seed => bit-identical runs; the committed
+//     golden replays pin it.
+//   * ThreadTransport (thread_transport.hpp): in-process shard threads
+//     with per-node mailboxes and real monotonic-clock deadlines.
 //     Wall-clock time, genuinely concurrent, NOT deterministic.
 //   * net::SocketTransport (net/socket_transport.hpp): every frame
 //     through a kernel socket and one poll loop thread.  Wall-clock.
 //
+// The two wall-clock backends share one driver (wall_clock_transport.hpp).
 // The contract all three satisfy (tests/transport_conformance_test runs
 // the suite against each):
 //
 //   * reliable delivery: every non-ack send() reaches the sink exactly
-//     once, or is handed to the abandon handler (crashed endpoint /
-//     retry cap) -- never both, never neither (stall windows excepted:
-//     a parked copy may deliver after an abandon once the node resumes);
+//     once under loss, or is handed to the abandon handler (crashed
+//     endpoint / retry cap) -- never both, never neither (stall windows
+//     excepted: a parked copy may deliver after an abandon once the node
+//     resumes).  Only a duplication-window copy of a first attempt can
+//     deliver a second time -- it may land after the ack settled the
+//     transfer and pruned its dedup record -- so under injected
+//     duplication the contract is at-least-once;
 //   * dedup: retransmission duplicates are suppressed by the live
-//     transfer's delivered bit plus a bounded orphan window, so dedup
-//     state is bounded by in_flight() + kOrphanDedupCapacity;
+//     transfer's delivered bit plus a bounded orphan window -- a settle
+//     that leaves a retransmission on the wire records it there -- so
+//     dedup state is bounded by in_flight() + kOrphanDedupCapacity;
 //   * retransmit backoff: attempt k waits min(rto*f^(k-1), cap) with
 //     deterministic per-(transfer, attempt) jitter; max_retries bounds
 //     the attempts of an abandoned transfer to max_retries + 1;
@@ -182,10 +189,10 @@ class Transport {
 
   /// Drive until quiescent: no undelivered messages, no in-flight
   /// reliable transfers, no pending scheduled tasks (parked stall
-  /// backlogs excepted).  Sim: drains the event queue.  Thread: pumps
-  /// deliveries/timers and *waits* for the actor threads to go quiet --
-  /// budget_exhausted reports a wall-clock patience cap, not an event
-  /// count.
+  /// backlogs excepted).  Sim: drains the event queue.  Wall clock: pumps
+  /// deliveries/timers and *waits* for the wire threads to go quiet --
+  /// budget_exhausted also reports the 60 s wall-clock cap
+  /// (WallClockTransport::kPatience).
   virtual RunResult run_to_idle(
       std::size_t max_events = sim::EventQueue::kDefaultEventBudget) = 0;
   /// Drive until now() reaches `horizon` (absolute, native clock).

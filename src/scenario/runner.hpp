@@ -61,7 +61,7 @@ struct Report {
   std::size_t events_processed = 0;
 
   /// Wire accounting over the timeline phase (populate excluded): deltas
-  /// of the Network's counters.
+  /// of the transport's counters.
   protocol::NetworkStats wire;
   /// Reliable-transfer attempt distribution over the whole run (settled
   /// and abandoned transfers; 1 = no retransmission).  The max is the

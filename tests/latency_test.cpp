@@ -1,7 +1,7 @@
 // Direct tests of protocol::LatencyModel: sample statistics of the three
 // kinds (mean / quantiles within tolerance), per-seed determinism, and
 // the synchronous-limit ordering contract (a zero-latency model preserves
-// issue order through the Network).
+// issue order through the sim transport).
 #include "protocol/latency.hpp"
 
 #include <gtest/gtest.h>

@@ -311,7 +311,8 @@ TEST(QueryEngine, ChurnConcurrentScenario) {
   constexpr double kHorizon = 2.5;
   constexpr std::size_t kFloor = 16;  // leaves/crashes skip below this
   s.timeline = {
-      scenario::Event::join_burst(0.0, 25, kHorizon, scenario::Spread::kUniform),
+      scenario::Event::join_burst(0.0, 25, kHorizon,
+                                  scenario::Spread::kUniform),
       scenario::Event::leave(0.0, 20, kHorizon, kFloor),
       scenario::Event::crash(0.0, 12, kHorizon, kFloor),
       scenario::Event::query_stream(0.0, 40, kHorizon,

@@ -3,15 +3,16 @@
 // Every test in this file runs three times -- over SimTransport (the
 // deterministic event-queue simulation), ThreadTransport (real shard
 // threads, monotonic-clock deadlines) and SocketTransport (frames through
-// a loopback Unix-domain socket).  The assertions are
-// the transport contract of protocol/transport.hpp: exactly-once
-// delivery under loss and duplication, bounded dedup state, capped
-// retransmission with give-up, stall parking, and crash/revive residue
-// clearing, and the event-driven driving members (the driver wake fd and
-// the next schedule() deadline).  Where a quantity is scheduling-dependent (which copy wins a
-// duplicate race) the tests assert the invariant, not the schedule;
-// where it is schedule-independent (wire attempt counts under total
-// loss) they pin the exact number on both backends.
+// a loopback Unix-domain socket).  The assertions are the transport
+// contract of protocol/transport.hpp: exactly-once delivery under loss
+// (an ack overtaking a retransmission included), at-least-once with
+// bounded dedup state under duplication, capped retransmission with
+// give-up, stall parking, crash/revive residue clearing, and the
+// event-driven driving members (the driver wake fd and the next
+// schedule() deadline).  Where a quantity is scheduling-dependent (which
+// copy wins a duplicate race) the tests assert the invariant, not the
+// schedule; where it is schedule-independent (wire attempt counts under
+// total loss) they pin the exact number on every backend.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -158,10 +159,11 @@ TEST_P(TransportConformance, DedupSuppressesDuplicatesWithinBoundedWindow) {
   t->end_duplication(1.0);
   ASSERT_FALSE(run.budget_exhausted);
 
-  // Under injected duplication the contract is at-least-once: a copy
-  // still in flight when the ack settles may re-deliver (the settle
-  // prunes the orphan record -- see Network::arrive), and the layer
-  // above is idempotent.  What the transport DOES guarantee: every
+  // Under injected duplication the contract is at-least-once: the copy
+  // of a first attempt can land after the ack settled the transfer and
+  // pruned its dedup record (ReliableCore::settle keeps the record only
+  // when a retransmission is on the wire), and the layer above is
+  // idempotent.  What the transport DOES guarantee: every
   // message arrives, the dedup machinery visibly suppresses the bulk of
   // the copies, and its state stays bounded.
   ASSERT_EQ(seen.size(), kMessages);
