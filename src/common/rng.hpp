@@ -18,6 +18,15 @@
 
 namespace voronet {
 
+/// The SplitMix64 finaliser: a deterministic 64-bit mixing hash (Rng's
+/// seeding, the retransmit jitter, the serving layer's cache keys).
+[[nodiscard]] inline std::uint64_t mix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256++ PRNG.  Deterministic across platforms for a given seed.
 class Rng {
  public:
@@ -28,11 +37,8 @@ class Rng {
   /// Re-initialise the state from a 64-bit seed via SplitMix64.
   void reseed(std::uint64_t seed) {
     for (auto& word : state_) {
+      word = mix64(seed);
       seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
     }
   }
 

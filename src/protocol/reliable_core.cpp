@@ -10,17 +10,6 @@ namespace voronet::protocol {
 
 namespace {
 
-/// SplitMix64 finaliser: the deterministic hash behind the retransmission
-/// jitter.  Keyed by (transfer id, attempt) so concurrent transfers --
-/// and successive attempts of one transfer -- desynchronise without
-/// consuming the delivery Rng stream.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Payloads above this capacity are not worth hoarding in the pool.
 constexpr std::size_t kMaxPooledPayload = 4096;
 constexpr std::size_t kMaxPoolSize = 1024;
@@ -55,9 +44,11 @@ double ReliableCore::backoff_timeout(std::uint64_t transfer_id,
   double timeout =
       std::min(rto_ * std::pow(config_.backoff_factor, exponent), rto_cap_);
   if (config_.jitter > 0.0) {
-    // Deterministic jitter in [1 - j/2, 1 + j/2): hashed, not drawn, so
-    // the Rng delivery stream (and with it every committed replay) is
-    // untouched by how often a transfer retried.
+    // Deterministic jitter in [1 - j/2, 1 + j/2): hashed from (transfer
+    // id, attempt), not drawn, so concurrent transfers -- and successive
+    // attempts of one transfer -- desynchronise while the Rng delivery
+    // stream (and with it every committed replay) is untouched by how
+    // often a transfer retried.
     const double u = static_cast<double>(
                          mix64(transfer_id * 0x2545f4914f6cdd1dULL +
                                attempts) >>

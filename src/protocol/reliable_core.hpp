@@ -82,6 +82,8 @@ class ReliableCore {
   };
 
   ReliableCore(const NetworkConfig& config, Link& link);
+  ReliableCore(const ReliableCore&) = delete;
+  ReliableCore& operator=(const ReliableCore&) = delete;
 
   void set_sink(Transport::Sink sink) { sink_ = std::move(sink); }
   void set_abandon_handler(Transport::AbandonHandler handler) {

@@ -26,6 +26,8 @@ namespace voronet::protocol {
 class SimTransport final : public Transport, private ReliableCore::Link {
  public:
   explicit SimTransport(const NetworkConfig& config) : core_(config, *this) {}
+  SimTransport(const SimTransport&) = delete;
+  SimTransport& operator=(const SimTransport&) = delete;
 
   void set_sink(Sink sink) override { core_.set_sink(std::move(sink)); }
   void set_abandon_handler(AbandonHandler handler) override {

@@ -6,18 +6,12 @@
 #include <utility>
 
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "voronet/queries.hpp"
 
 namespace voronet::serve {
 
 namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t bits(double v) {
   std::uint64_t u = 0;
