@@ -1,7 +1,7 @@
 // bench_serve: open-loop serving latency through the transport seam.
 //
 // Grows one overlay per backend, mounts the serving front-end
-// (src/serve: admission + batched covering floods + churn-invalidated
+// (src/serve: admission + one flood per query + churn-invalidated
 // cache) and drives it with an open-loop Poisson query stream at a sweep
 // of arrival rates.  The headline cells run on ThreadTransport -- real
 // threads, real monotonic-clock latencies, so p50/p99 are wall-clock
@@ -204,8 +204,7 @@ Json cell_json(const Cell& cell) {
   j.set("completed", Json::integer(r.completed));
   j.set("completion_rate", Json::number(r.completion_rate));
   j.set("cache_hits", Json::integer(r.cache_hits));
-  j.set("batches", Json::integer(r.batches));
-  j.set("mean_batch", Json::number(r.mean_batch));
+  j.set("floods", Json::integer(r.floods));
   j.set("p50_s", Json::number(r.p50));
   j.set("p99_s", Json::number(r.p99));
   j.set("max_s", Json::number(r.max_latency));
@@ -257,7 +256,7 @@ int main(int argc, char** argv) try {
                       objects, rates[0], duration, args.seed + 3));
 
   stats::Table table({"cell", "rate", "offered", "completed", "rejected",
-                      "cache", "batches", "mean_batch", "p50 ms", "p99 ms",
+                      "cache", "floods", "p50 ms", "p99 ms",
                       "graded", "recall", "precision"});
   for (const Cell& c : cells) {
     const serve::LoadReport& r = c.report;
@@ -266,8 +265,7 @@ int main(int argc, char** argv) try {
                    stats::Table::cell(static_cast<std::size_t>(r.completed)),
                    stats::Table::cell(static_cast<std::size_t>(r.rejected)),
                    stats::Table::cell(static_cast<std::size_t>(r.cache_hits)),
-                   stats::Table::cell(static_cast<std::size_t>(r.batches)),
-                   stats::Table::cell(r.mean_batch, 2),
+                   stats::Table::cell(static_cast<std::size_t>(r.floods)),
                    stats::Table::cell(r.p50 * 1e3, 3),
                    stats::Table::cell(r.p99 * 1e3, 3),
                    stats::Table::cell(static_cast<std::size_t>(r.graded)),

@@ -29,13 +29,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 }  // namespace
 
 ServeClient::ServeClient(const std::string& spec, double connect_timeout) {
@@ -225,40 +218,7 @@ bool ServeClient::pump(double timeout_s, ServeKind wait_for, ServeFrame* reply,
 serve::LoadReport run_open_loop_remote(ServeClient& client,
                                        const serve::LoadConfig& config,
                                        ServeFrame* server_report) {
-  if (config.rate <= 0.0 || config.duration <= 0.0) {
-    throw std::runtime_error("open loop remote: non-positive rate/duration");
-  }
-  Rng rng(config.seed);
-  const Vec2 hotspot{rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75)};
-
-  // The identical draw sequence as serve::run_open_loop, so a remote
-  // cell offers the same arrival process as an in-process one.
-  struct Arrival {
-    double t = 0.0;
-    bool range = false;
-    Vec2 a, b;
-    double tol = 0.0;
-  };
-  std::vector<Arrival> arrivals;
-  for (double t = rng.exponential(config.rate); t < config.duration;
-       t += rng.exponential(config.rate)) {
-    const bool hot = rng.chance(config.hotspot_fraction);
-    const bool range = rng.chance(config.range_fraction);
-    const Vec2 base = hot ? hotspot
-                          : Vec2{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    Arrival a;
-    a.t = t;
-    a.range = range;
-    a.a = {base.x + rng.uniform(-0.02, 0.02),
-           base.y + rng.uniform(-0.02, 0.02)};
-    if (range) {
-      a.b = {a.a.x + rng.uniform(-0.1, 0.1), a.a.y + rng.uniform(-0.1, 0.1)};
-      a.tol = config.range_tol;
-    } else {
-      a.tol = config.radius;
-    }
-    arrivals.push_back(a);
-  }
+  const std::vector<serve::Arrival> arrivals = serve::draw_arrivals(config);
 
   std::unordered_map<std::uint64_t, double> sent_at;
   std::vector<double> latencies;
@@ -269,17 +229,18 @@ serve::LoadReport run_open_loop_remote(ServeClient& client,
     latencies.push_back(seconds_since(start) - it->second);
   });
 
-  for (const Arrival& a : arrivals) {
+  for (const serve::Arrival& a : arrivals) {
     // Pace on the wall clock, draining answers while we wait -- arrivals
     // never block on responses (the open-loop discipline).
     for (;;) {
-      const double wait = a.t - seconds_since(start);
+      const double wait = a.at - seconds_since(start);
       if (wait <= 0.0) break;
       client.poll_answers(std::min(wait, 0.05));
     }
-    const std::uint64_t id =
-        a.range ? client.submit_range(a.a, a.b, a.tol)
-                : client.submit_radius(a.a, a.tol);
+    const protocol::QuerySpec& q = a.spec;
+    const std::uint64_t id = q.kind == protocol::QueryKind::kRange
+                                 ? client.submit_range(q.a, q.b, q.tol)
+                                 : client.submit_radius(q.a, q.tol);
     sent_at[id] = seconds_since(start);
   }
 
@@ -300,25 +261,13 @@ serve::LoadReport run_open_loop_remote(ServeClient& client,
   report.rejected = rf.rejected_total;
   report.completed = rf.completed;
   report.cache_hits = rf.cache_hits;
-  report.batches = rf.batches;
-  report.mean_batch = rf.batches == 0
-                          ? 0.0
-                          : static_cast<double>(rf.batch_members) /
-                                static_cast<double>(rf.batches);
+  report.floods = rf.batches;
   report.completion_rate =
       report.offered == 0 ? 1.0
                           : static_cast<double>(report.completed) /
                                 static_cast<double>(report.offered);
   report.drained = rf.drained && client.outstanding() == 0;
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    report.p50 = percentile(latencies, 0.50);
-    report.p99 = percentile(latencies, 0.99);
-    report.max_latency = latencies.back();
-    double sum = 0.0;
-    for (const double l : latencies) sum += l;
-    report.mean_latency = sum / static_cast<double>(latencies.size());
-  }
+  report.set_latencies(std::move(latencies));
   report.graded = rf.graded;
   report.recall = rf.recall;
   report.precision = rf.precision;

@@ -1,10 +1,10 @@
 // Client side of the serving boundary: a blocking-convenience wrapper
 // over one serve_wire connection, plus the two workload drivers that
 // make a remote shard a drop-in measurement target --
-// run_open_loop_remote mirrors serve::run_open_loop (identical Poisson
-// schedule, identical LoadReport shape, wall-clock latencies measured
-// at THIS process), and drive_query_stream interprets the scenario
-// vocabulary's query events (kQueryStream / kRangeQuery /
+// run_open_loop_remote mirrors serve::run_open_loop (the same
+// serve::draw_arrivals schedule, identical LoadReport shape, wall-clock
+// latencies measured at THIS process), and drive_query_stream interprets
+// the scenario vocabulary's query events (kQueryStream / kRangeQuery /
 // kRadiusQuery) against the socket instead of an in-process harness.
 //
 // Threading: a ServeClient is single-threaded -- every method runs on
@@ -86,14 +86,14 @@ class ServeClient {
   AnswerHandler on_answer_;
 };
 
-/// serve::run_open_loop over a socket: the identical Poisson arrival
-/// schedule (same seed, same Rng draw sequence), paced on THIS process's
-/// wall clock, with per-query latency measured submit -> answer.  The
-/// returned LoadReport merges client-side fields (offered, latency
-/// distribution, completion) with the server's post-drain report
-/// (admission / batching stats, grading, drained); `server_report`
-/// (when non-null) additionally receives the raw kReport frame -- the
-/// overlay-internal wire_bytes live there.
+/// serve::run_open_loop over a socket: the same serve::draw_arrivals
+/// schedule, paced on THIS process's wall clock, with per-query latency
+/// measured submit -> answer.  The returned LoadReport merges
+/// client-side fields (offered, latency distribution, completion) with
+/// the server's post-drain report (admission / cache / flood stats,
+/// grading, drained); `server_report` (when non-null) additionally
+/// receives the raw kReport frame -- the overlay-internal wire_bytes
+/// live there.
 serve::LoadReport run_open_loop_remote(ServeClient& client,
                                        const serve::LoadConfig& config,
                                        ServeFrame* server_report = nullptr);

@@ -10,8 +10,7 @@
 #include <utility>
 
 #include "common/wake_fd.hpp"
-#include "protocol/flat_map.hpp"
-#include "voronet/queries.hpp"
+#include "serve/open_loop.hpp"
 
 namespace voronet::net {
 
@@ -76,8 +75,8 @@ std::uint64_t ServedShard::serve() {
   const bool sim = net.deterministic();
   std::vector<pollfd> pfds;
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Pump the harness (protocol upcalls, batch timers and flood
-    // completions run here, on this thread), then ship every answer.
+    // Pump the harness (protocol upcalls, timers and flood completions
+    // run here, on this thread), then ship every answer.
     harness.run_until(sim ? net.now() + config_.slice : net.now());
     sweep_answers();
     for (Client& c : clients_) {
@@ -289,44 +288,20 @@ ServeFrame ServedShard::build_report(std::uint64_t request_id) {
   r.rejected_total = stats.rejected;
   r.completed = stats.completed;
   r.cache_hits = stats.cache_hits;
-  r.batches = stats.batches;
-  r.batch_members = stats.batch_members;
+  r.batches = stats.floods;
+  r.batch_members = stats.floods;  // one ticket per flood
   r.objects = harness.node_count();
   r.topology_version = harness.topology_version();
   r.drained = drained_;
   r.wire_bytes = harness.network().stats().wire_bytes;
 
-  // Grade exactly as serve::run_open_loop does: every ticket completed
-  // at the FINAL topology version against a roster scan through the one
-  // site predicate.
-  const std::uint64_t final_version = harness.topology_version();
-  const std::vector<protocol::NodeId>& roster = harness.roster();
-  protocol::FlatNodeMap<char> marks;
-  std::uint64_t truth_total = 0, hit_total = 0, match_total = 0;
-  for (const auto id : all_tickets_) {
-    const serve::QueryServer::Ticket& t = server_->ticket(id);
-    if (!t.done || t.rejected || t.completed_version != final_version) {
-      continue;
-    }
-    ++r.graded;
-    match_total += t.matches.size();
-    marks.clear();
-    marks.reserve(roster.size());
-    for (const protocol::NodeId m : t.matches) marks.insert(m, 1);
-    for (const protocol::NodeId n : roster) {
-      if (site_within_tolerance(t.spec.a, t.spec.b, harness.node(n).position(),
-                                t.spec.tol)) {
-        ++truth_total;
-        if (marks.find(n) != nullptr) ++hit_total;
-      }
-    }
-  }
-  r.recall = truth_total == 0 ? 1.0
-                              : static_cast<double>(hit_total) /
-                                    static_cast<double>(truth_total);
-  r.precision = match_total == 0 ? 1.0
-                                 : static_cast<double>(hit_total) /
-                                       static_cast<double>(match_total);
+  // The grader of serve::run_open_loop: every ticket completed at the
+  // FINAL topology version against a roster scan.
+  const serve::Grade grade =
+      serve::grade_tickets(harness, *server_, all_tickets_);
+  r.graded = grade.graded;
+  r.recall = grade.recall;
+  r.precision = grade.precision;
   return r;
 }
 

@@ -3,12 +3,12 @@
 // This is the multi-process face of the serving layer: the shard owns a
 // populated ProtocolHarness (any transport backend for the overlay's
 // OWN wire traffic -- sim, thread, or socket) plus the src/serve
-// front-end (admission, batching, result cache), and listens on a Unix
-// or TCP socket speaking serve_wire frames.  External clients submit
+// front-end (admission, result cache), and listens on a Unix or TCP
+// socket speaking serve_wire frames.  External clients submit
 // radius / range queries and receive kAnswer frames with the exact
 // match sets; kGetReport drains the transport, grades every ticket
-// against the sequential ground truth (the same roster scan as
-// serve::run_open_loop), and ships the stats back.
+// against the sequential ground truth (serve::grade_tickets, the grader
+// of serve::run_open_loop), and ships the stats back.
 //
 // Concurrency model: serve() IS the transport's driving thread, so every
 // QueryServer entry point and every protocol upcall executes on this one
@@ -18,10 +18,10 @@
 // On the wall-clock backends (thread, socket) the loop is event-driven.
 // It blocks in one ppoll over the listen socket, the client sockets, a
 // stop eventfd and the transport's armed driver wake fd, with the
-// timeout set to the transport's next schedule() deadline (a batch
-// window, a query deadline), to the nanosecond.  Each wake pumps the
-// harness with run_until(now()), sweeps finished tickets into answer
-// frames and flushes.  A protocol message therefore waits for no
+// timeout set to the transport's next schedule() deadline (a query
+// start, a retransmit, a query deadline), to the nanosecond.  Each wake
+// pumps the harness with run_until(now()), sweeps finished tickets into
+// answer frames and flushes.  A protocol message therefore waits for no
 // time slice: each of a query's 20-30 chained messages is handled as soon
 // as the transport queues it.  A sim shard keeps a slice drive (a 1 ms
 // client poll, then run_until(now + slice) in virtual seconds), since a

@@ -75,6 +75,8 @@ struct ServeFrame {
   std::uint64_t rejected_total = 0;
   std::uint64_t completed = 0;
   std::uint64_t cache_hits = 0;
+  // Both carry the flood count (one ticket per flood); the fields and
+  // the wire layout stay so existing readers decode the report unchanged.
   std::uint64_t batches = 0;
   std::uint64_t batch_members = 0;
   std::uint64_t graded = 0;

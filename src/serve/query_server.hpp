@@ -1,35 +1,21 @@
-// The query front-end of the serving layer: admission, batching, and a
+// The query front-end of the serving layer: admission and a
 // churn-invalidated result cache in front of the protocol engine's
 // region-query floods.
 //
-// A deployment does not get one flood per client query -- at open-loop
-// load the floods would trample each other and the tail would explode.
-// This server interposes three classic serving-layer mechanisms, all
-// transport-agnostic (they run identically on SimTransport and
-// ThreadTransport):
+// Each admitted query that the cache cannot answer is served by ONE
+// flood of its own kind (a range query floods its segment's cells, a
+// radius query its disk's) from a random gateway, so a flood's cost is
+// the area of the one query it answers.  The answer is the flood
+// record's own match set: the harness filters the served cells through
+// voronet::site_within_tolerance -- the ONE site predicate of the
+// sequential layer.  Two mechanisms sit in front, both transport-agnostic
+// (they run identically on SimTransport and ThreadTransport):
 //
 //   * ADMISSION: a bounded service queue.  A query is rejected outright
 //     when `queue_capacity` admitted queries are still unfinished --
 //     load shedding at the front door instead of collapse in the
 //     overlay.  Rejections are visible in the stats and the bench's
 //     completion rate.
-//
-//   * BATCHING: admitted queries are bucketed by the region of space
-//     they touch (a uniform grid of `bucket_size` cells over the unit
-//     square).  A bucket flushes when it holds `max_batch` members or
-//     its oldest member has waited `batch_window` seconds.  One flush
-//     issues ONE covering flood -- a radius query at the members'
-//     centroid C with radius max_i(max(|C-a_i|, |C-b_i|) + tol_i) --
-//     whose spanning tree is shared by every member.
-//
-//     Exactness: any site s matching member i satisfies
-//     dist(s, seg_i) <= tol_i, so |s - C| <= max(|C-a_i|,|C-b_i|) +
-//     tol_i <= R; s's own cell contains s, hence intersects the covering
-//     disk, hence is served by the flood.  Filtering the flood's served
-//     (id, pos) pairs through voronet::site_within_tolerance -- the ONE
-//     site predicate of the sequential layer -- therefore reproduces
-//     each member's match set exactly.  tests/serve_test.cpp pins
-//     recall == precision == 1 against the sequential ground truth.
 //
 //   * RESULT CACHE: completed match sets keyed by the exact QuerySpec,
 //     stamped with the harness's topology_version at completion.
@@ -56,26 +42,11 @@ namespace voronet::serve {
 using protocol::NodeId;
 using protocol::QueryKind;
 using protocol::QuerySpec;
-using protocol::ViewEntry;
 
 struct ServeConfig {
   /// Admission bound: queries in service (admitted, not yet completed)
   /// beyond this are rejected.
   std::size_t queue_capacity = 256;
-  /// Flush a region bucket at this many co-batched members.
-  std::size_t max_batch = 8;
-  /// ... or when its oldest member has waited this long (transport
-  /// clock: virtual seconds on sim, wall seconds on thread).
-  double batch_window = 0.005;
-  /// Edge length of the region-bucketing grid over the unit square.
-  double bucket_size = 0.125;
-  /// Result cache on/off, and its entry bound (the whole cache is
-  /// dropped when full -- entries are invalidated wholesale by churn
-  /// anyway, so eviction finesse buys nothing).
-  bool cache = true;
-  std::size_t cache_capacity = 4096;
-  /// Gateway sampling for the covering floods.
-  std::uint64_t seed = 0x5e11eULL;
 };
 
 struct ServeStats {
@@ -84,9 +55,7 @@ struct ServeStats {
   std::uint64_t rejected = 0;    ///< admission-bound sheds
   std::uint64_t cache_hits = 0;  ///< answered without any flood
   std::uint64_t completed = 0;
-  std::uint64_t batches = 0;        ///< covering floods issued
-  std::uint64_t batch_members = 0;  ///< queries those floods served
-  std::uint64_t cache_entries_dropped = 0;
+  std::uint64_t floods = 0;      ///< one per admitted, uncached query
 };
 
 class QueryServer {
@@ -101,7 +70,6 @@ class QueryServer {
     bool done = false;
     bool rejected = false;   ///< shed at admission; no answer
     bool cache_hit = false;
-    std::size_t batch_size = 0;  ///< members of the flood that served it
     std::uint64_t completed_version = 0;  ///< topology version at answer
     std::vector<NodeId> matches;          ///< sorted site matches
 
@@ -131,44 +99,28 @@ class QueryServer {
   void drop_completed_tickets();
 
  private:
-  struct Bucket {
-    std::vector<TicketId> members;
-    bool timer_armed = false;
-  };
-  /// One in-flight covering flood and the members it serves.
-  struct Flight {
-    std::vector<TicketId> members;
-  };
+  /// A cached answer; the stored spec rules out a false hit on a hash
+  /// collision.
   struct CacheEntry {
+    QuerySpec spec;
     std::uint64_t version = 0;
     std::vector<NodeId> matches;
   };
 
   TicketId submit(QuerySpec spec);
-  [[nodiscard]] std::uint64_t bucket_key(Vec2 target) const;
-  void flush_bucket(std::uint64_t key);
   void on_flood_complete(std::uint64_t flood_id);
-  void complete(TicketId id, std::vector<NodeId> matches,
-                std::size_t batch_size, bool cache_hit);
+  void complete(TicketId id, std::vector<NodeId> matches);
   [[nodiscard]] static std::uint64_t spec_hash(const QuerySpec& spec);
 
   protocol::ProtocolHarness& harness_;
   ServeConfig config_;
-  Rng rng_;
+  Rng rng_;  ///< gateway sampling
   ServeStats stats_;
   TicketId next_ticket_ = 0;
   std::size_t in_service_ = 0;
   std::unordered_map<TicketId, Ticket> tickets_;
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
-  std::unordered_map<std::uint64_t, Flight> flights_;  ///< by flood query id
-  /// spec-hash -> entry; collisions are resolved by storing the spec in
-  /// the entry?  No: the hash covers every spec field bit-exactly and a
-  /// false hit is ruled out by comparing the stored spec.
-  struct KeyedEntry {
-    QuerySpec spec;
-    CacheEntry entry;
-  };
-  std::unordered_map<std::uint64_t, KeyedEntry> cache_;
+  std::unordered_map<std::uint64_t, TicketId> flights_;  ///< by flood id
+  std::unordered_map<std::uint64_t, CacheEntry> cache_;  ///< by spec hash
 };
 
 }  // namespace voronet::serve

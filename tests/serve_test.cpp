@@ -1,5 +1,6 @@
-// Serving-layer tests: admission, batching, cache invalidation, and
-// end-to-end exactness of the query front-end (src/serve).
+// Serving-layer tests: one flood per query, admission, cache
+// invalidation, and end-to-end exactness of the query front-end
+// (src/serve).
 //
 // The deterministic cells run on SimTransport, where every count is
 // exact and replayable.  The thread cells run the SAME serving code over
@@ -45,63 +46,45 @@ std::vector<NodeId> truth_matches(const ProtocolHarness& harness, Vec2 a,
   return out;
 }
 
-TEST(QueryServer, BatchesCoResidentQueriesIntoSharedFloodsExactly) {
-  QueryHarness qh(sim_config());
+TEST(QueryServer, EachQueryIsItsOwnFlood) {
+  HarnessConfig config = sim_config();
+  config.network.latency = protocol::LatencyModel::fixed(0.02);
+  QueryHarness qh(config);
   qh.populate(120, 41);
   ProtocolHarness& h = qh.harness();
+  QueryServer server(h, ServeConfig{});
 
-  ServeConfig sc;
-  sc.max_batch = 4;
-  sc.batch_window = 0.5;  // wide: only the size trigger fires here
-  QueryServer server(h, sc);
+  // A radius and a range query at the same point: each gets a flood of
+  // its own kind.
+  const Vec2 p{0.45, 0.55};
+  const Vec2 end{0.52, 0.6};
+  const std::uint64_t forwards_before =
+      h.network().metrics().messages(sim::MessageKind::kQueryForward);
+  const auto radius = server.submit_radius(p, 0.08);
+  const auto range = server.submit_range(p, end, 0.03);
+  ASSERT_FALSE(h.run_to_idle().budget_exhausted);
 
-  // Eight queries against one hot region: same bucket, two full batches.
-  const Vec2 hot{0.45, 0.55};
-  std::vector<QueryServer::TicketId> ids;
-  for (int i = 0; i < 8; ++i) {
-    ids.push_back(server.submit_radius(
-        Vec2{hot.x + 0.001 * i, hot.y - 0.001 * i}, 0.08));
-  }
-  const auto run = h.run_to_idle();
-  ASSERT_FALSE(run.budget_exhausted);
-
-  EXPECT_EQ(server.stats().batches, 2u) << "4+4 under max_batch=4";
-  EXPECT_EQ(server.stats().batch_members, 8u);
-  EXPECT_EQ(server.stats().completed, 8u);
+  EXPECT_EQ(server.stats().floods, 2u);
+  EXPECT_EQ(server.stats().completed, 2u);
   EXPECT_EQ(server.in_service(), 0u);
-  for (const auto id : ids) {
+  for (const auto id : {radius, range}) {
     const QueryServer::Ticket& t = server.ticket(id);
     ASSERT_TRUE(t.done);
     EXPECT_FALSE(t.rejected);
-    EXPECT_EQ(t.batch_size, 4u);
-    EXPECT_GE(t.latency(), 0.0);
-    EXPECT_EQ(t.matches, truth_matches(h, t.spec.a, t.spec.b, t.spec.tol))
-        << "covering-flood member filter must reproduce the exact result";
-  }
-}
-
-TEST(QueryServer, WindowTimerFlushesPartialBatch) {
-  QueryHarness qh(sim_config());
-  qh.populate(80, 42);
-  ProtocolHarness& h = qh.harness();
-
-  ServeConfig sc;
-  sc.max_batch = 16;       // never reached
-  sc.batch_window = 0.02;  // the clock does the flushing
-  QueryServer server(h, sc);
-
-  const auto a = server.submit_radius(Vec2{0.3, 0.3}, 0.1);
-  const auto b = server.submit_range(Vec2{0.31, 0.3}, Vec2{0.35, 0.34}, 0.05);
-  const auto run = h.run_to_idle();
-  ASSERT_FALSE(run.budget_exhausted);
-
-  EXPECT_EQ(server.stats().batches, 1u) << "one window flush for the bucket";
-  EXPECT_EQ(server.stats().batch_members, 2u);
-  for (const auto id : {a, b}) {
-    const QueryServer::Ticket& t = server.ticket(id);
-    ASSERT_TRUE(t.done);
+    EXPECT_FALSE(t.cache_hit);
     EXPECT_EQ(t.matches, truth_matches(h, t.spec.a, t.spec.b, t.spec.tol));
   }
+
+  // The flood of a query's own region costs exactly what the sequential
+  // counting model bills for it; the model is spanning-tree-independent,
+  // so any gateway will do.
+  const ObjectId from = h.roster().front();
+  const std::uint64_t expected_forwards =
+      voronet::radius_query(h.overlay(), from, p, 0.08).forward_messages +
+      voronet::range_query(h.overlay(), from, p, end, 0.03).forward_messages;
+  EXPECT_EQ(h.network().metrics().messages(sim::MessageKind::kQueryForward) -
+                forwards_before,
+            expected_forwards);
 }
 
 TEST(QueryServer, CacheHitsExactSpecAndChurnInvalidates) {
@@ -110,7 +93,6 @@ TEST(QueryServer, CacheHitsExactSpecAndChurnInvalidates) {
   ProtocolHarness& h = qh.harness();
 
   ServeConfig sc;
-  sc.batch_window = 0.01;
   QueryServer server(h, sc);
   const Vec2 c{0.5, 0.5};
 
@@ -123,13 +105,13 @@ TEST(QueryServer, CacheHitsExactSpecAndChurnInvalidates) {
 
   // Identical spec, unchanged topology: answered from the cache, no new
   // flood, zero latency, same matches.
-  const std::uint64_t floods_before = server.stats().batches;
+  const std::uint64_t floods_before = server.stats().floods;
   const auto hit = server.submit_radius(c, 0.1);
   EXPECT_TRUE(server.ticket(hit).done) << "cache hits complete synchronously";
   EXPECT_TRUE(server.ticket(hit).cache_hit);
   EXPECT_EQ(server.ticket(hit).matches, answer);
   EXPECT_EQ(server.ticket(hit).latency(), 0.0);
-  EXPECT_EQ(server.stats().batches, floods_before);
+  EXPECT_EQ(server.stats().floods, floods_before);
   EXPECT_EQ(server.stats().cache_hits, 1u);
 
   // A nearby-but-different spec is NOT the same cache line.
@@ -159,9 +141,6 @@ TEST(QueryServer, AdmissionBoundShedsAndRecovers) {
 
   ServeConfig sc;
   sc.queue_capacity = 2;
-  sc.max_batch = 64;
-  sc.batch_window = 0.05;
-  sc.cache = false;  // every submit must take the admission path
   QueryServer server(h, sc);
 
   std::vector<QueryServer::TicketId> ids;
@@ -229,8 +208,7 @@ TEST(OpenLoop, SimStreamCompletesAndGradesExactly) {
   EXPECT_EQ(r.precision, 1.0);
   EXPECT_GE(r.p99, r.p50);
   EXPECT_GE(r.max_latency, r.p99);
-  EXPECT_GT(r.batches, 0u);
-  EXPECT_GE(r.mean_batch, 1.0);
+  EXPECT_EQ(r.floods, r.admitted) << "distinct specs: one flood each";
 }
 
 TEST(OpenLoop, ThreadBackendHarnessConvergesAndServes) {

@@ -55,12 +55,12 @@ int main(int argc, char** argv) try {
 
   std::printf(
       "offered %llu  completed %llu  rejected %llu  cache %llu  "
-      "batches %llu (%.2f/batch)\n",
+      "floods %llu\n",
       static_cast<unsigned long long>(r.offered),
       static_cast<unsigned long long>(r.completed),
       static_cast<unsigned long long>(r.rejected),
       static_cast<unsigned long long>(r.cache_hits),
-      static_cast<unsigned long long>(r.batches), r.mean_batch);
+      static_cast<unsigned long long>(r.floods));
   std::printf("latency p50 %.3f ms  p99 %.3f ms  max %.3f ms\n", r.p50 * 1e3,
               r.p99 * 1e3, r.max_latency * 1e3);
   std::printf(
@@ -80,8 +80,7 @@ int main(int argc, char** argv) try {
     doc.set("rejected", Json::integer(r.rejected));
     doc.set("completion_rate", Json::number(r.completion_rate));
     doc.set("cache_hits", Json::integer(r.cache_hits));
-    doc.set("batches", Json::integer(r.batches));
-    doc.set("mean_batch", Json::number(r.mean_batch));
+    doc.set("floods", Json::integer(r.floods));
     doc.set("p50_s", Json::number(r.p50));
     doc.set("p99_s", Json::number(r.p99));
     doc.set("max_s", Json::number(r.max_latency));
