@@ -43,13 +43,14 @@ int main(int argc, char** argv) try {
 
     // Churn phase: equal join/leave rates around the half-size population,
     // with queries interleaved.
-    ChurnConfig churn;
-    churn.join_rate = 1.0;
-    churn.leave_rate = 1.0;
-    churn.query_rate = 2.0;
-    churn.duration = static_cast<double>(churn_ops) / 4.0;
-    churn.seed = scale.seed;
-    const ChurnReport report = run_churn(overlay, gen, churn);
+    const double duration = static_cast<double>(churn_ops) / 4.0;
+    const ChurnReport report = run_events(
+        overlay, gen,
+        {scenario::Event::join_poisson(0.0, 1.0, duration),
+         scenario::Event::leave_poisson(0.0, 1.0, duration,
+                                        /*min_population=*/8),
+         scenario::Event::query_poisson(0.0, 2.0, duration)},
+        scale.seed);
     std::cerr << "[maintenance] " << dist.name() << ": " << report.joins
               << " joins, " << report.leaves << " leaves, " << report.queries
               << " queries (" << t.seconds() << "s)\n";

@@ -113,10 +113,4 @@ ChurnReport run_events(Overlay& overlay, workload::PointGenerator& points,
   return report;
 }
 
-ChurnReport run_churn(Overlay& overlay, workload::PointGenerator& points,
-                      const ChurnConfig& config) {
-  VORONET_EXPECT(config.duration > 0.0, "churn duration must be positive");
-  return run_events(overlay, points, config.events(), config.seed);
-}
-
 }  // namespace voronet

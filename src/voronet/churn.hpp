@@ -10,10 +10,9 @@
 // The driver speaks the scenario event vocabulary
 // (src/scenario/events.hpp): run_events() interprets the membership /
 // query subset (join bursts, leaves, query streams -- count-based or
-// Poisson) directly against the Overlay, and ChurnConfig survives as the
-// named rate parameterization that expands into those events via
-// events().  The message-level counterpart of the same vocabulary is
-// scenario::Runner; one timeline can drive either layer.
+// Poisson) directly against the Overlay.  The message-level counterpart
+// of the same vocabulary is scenario::Runner; one timeline can drive
+// either layer.
 #pragma once
 
 #include <array>
@@ -28,26 +27,6 @@
 #include "workload/distributions.hpp"
 
 namespace voronet {
-
-struct ChurnConfig {
-  double join_rate = 1.0;    ///< joins per unit of simulated time
-  double leave_rate = 1.0;   ///< leaves per unit time
-  double query_rate = 4.0;   ///< queries per unit time
-  double duration = 100.0;   ///< simulated time horizon
-  std::size_t min_population = 8;  ///< leaves are suppressed below this
-  std::uint64_t seed = 7;
-
-  /// The equivalent timeline in the unified event vocabulary: three
-  /// Poisson streams over [0, duration].
-  [[nodiscard]] std::vector<scenario::Event> events() const {
-    return {
-        scenario::Event::join_poisson(0.0, join_rate, duration),
-        scenario::Event::leave_poisson(0.0, leave_rate, duration,
-                                       min_population),
-        scenario::Event::query_poisson(0.0, query_rate, duration),
-    };
-  }
-};
 
 struct ChurnReport {
   std::size_t joins = 0;
@@ -86,11 +65,5 @@ struct ChurnReport {
 ChurnReport run_events(Overlay& overlay, workload::PointGenerator& points,
                        const std::vector<scenario::Event>& events,
                        std::uint64_t seed);
-
-/// Run Poisson-ish churn (exponential inter-arrival per event class) on an
-/// existing overlay using `points` as the join workload.  Thin wrapper:
-/// expands the config into events() and interprets them.
-ChurnReport run_churn(Overlay& overlay, workload::PointGenerator& points,
-                      const ChurnConfig& config);
 
 }  // namespace voronet

@@ -6,6 +6,19 @@
 namespace voronet {
 namespace {
 
+/// Three Poisson streams over [0, duration]: joins, leaves suppressed
+/// below `min_population`, and queries.
+std::vector<scenario::Event> poisson_churn(double join_rate, double leave_rate,
+                                           double query_rate, double duration,
+                                           std::size_t min_population = 8) {
+  return {
+      scenario::Event::join_poisson(0.0, join_rate, duration),
+      scenario::Event::leave_poisson(0.0, leave_rate, duration,
+                                     min_population),
+      scenario::Event::query_poisson(0.0, query_rate, duration),
+  };
+}
+
 TEST(Churn, RunsAndKeepsInvariants) {
   OverlayConfig cfg;
   cfg.n_max = 2048;
@@ -15,19 +28,15 @@ TEST(Churn, RunsAndKeepsInvariants) {
   workload::PointGenerator gen(workload::DistributionConfig::uniform());
   for (int i = 0; i < 50; ++i) overlay.insert(gen.next(rng));
 
-  ChurnConfig churn;
-  churn.join_rate = 2.0;
-  churn.leave_rate = 1.0;
-  churn.query_rate = 3.0;
-  churn.duration = 50.0;
-  churn.seed = 1;
-  const ChurnReport report = run_churn(overlay, gen, churn);
+  const double duration = 50.0;
+  const ChurnReport report =
+      run_events(overlay, gen, poisson_churn(2.0, 1.0, 3.0, duration), 1);
 
   EXPECT_GT(report.joins, 0u);
   EXPECT_GT(report.leaves, 0u);
   EXPECT_GT(report.queries, 0u);
   EXPECT_EQ(report.final_population, overlay.size());
-  EXPECT_LE(report.simulated_time, churn.duration);
+  EXPECT_LE(report.simulated_time, duration);
   EXPECT_EQ(report.events_processed,
             report.joins + report.leaves + report.queries);
   overlay.check_invariants();
@@ -42,14 +51,8 @@ TEST(Churn, PopulationFloorIsRespected) {
   workload::PointGenerator gen(workload::DistributionConfig::uniform());
   for (int i = 0; i < 12; ++i) overlay.insert(gen.next(rng));
 
-  ChurnConfig churn;
-  churn.join_rate = 0.0;  // leaves only
-  churn.leave_rate = 5.0;
-  churn.query_rate = 0.0;
-  churn.duration = 100.0;
-  churn.min_population = 8;
-  churn.seed = 2;
-  run_churn(overlay, gen, churn);
+  // Leaves only.
+  run_events(overlay, gen, poisson_churn(0.0, 5.0, 0.0, 100.0, 8), 2);
   EXPECT_EQ(overlay.size(), 8u);
   overlay.check_invariants();
 }
@@ -63,21 +66,15 @@ TEST(Churn, GrowthOnlyMatchesJoins) {
   workload::PointGenerator gen(workload::DistributionConfig::power_law(2.0));
   overlay.insert(gen.next(rng));
 
-  ChurnConfig churn;
-  churn.join_rate = 3.0;
-  churn.leave_rate = 0.0;
-  churn.query_rate = 0.0;
-  churn.duration = 30.0;
-  churn.seed = 3;
-  const ChurnReport report = run_churn(overlay, gen, churn);
+  const ChurnReport report =
+      run_events(overlay, gen, poisson_churn(3.0, 0.0, 0.0, 30.0), 3);
   EXPECT_EQ(overlay.size(), 1 + report.joins);
   overlay.check_invariants();
 }
 
 TEST(Churn, EventVocabularyDrivesTheSequentialLayer) {
   // The unified scenario vocabulary: count-based events interpret
-  // directly against the overlay, same as the Poisson streams that
-  // ChurnConfig::events() expands into.
+  // directly against the overlay, same as the Poisson streams.
   OverlayConfig cfg;
   cfg.n_max = 512;
   cfg.seed = 5;
@@ -105,15 +102,6 @@ TEST(Churn, EventVocabularyDrivesTheSequentialLayer) {
   EXPECT_THROW(run_events(overlay, gen,
                           {scenario::Event::crash(0.0, 1, 1.0, 8)}, 99),
                std::exception);
-
-  // ChurnConfig is now a spelling of the same vocabulary.
-  ChurnConfig config;
-  const auto events = config.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, scenario::EventKind::kJoinBurst);
-  EXPECT_EQ(events[0].spread, scenario::Spread::kPoisson);
-  EXPECT_DOUBLE_EQ(events[0].rate, config.join_rate);
-  EXPECT_EQ(events[1].min_population, config.min_population);
 }
 
 TEST(Churn, DeterministicForSeed) {
@@ -125,10 +113,8 @@ TEST(Churn, DeterministicForSeed) {
     Rng rng(4);
     workload::PointGenerator gen(workload::DistributionConfig::uniform());
     for (int i = 0; i < 20; ++i) overlay.insert(gen.next(rng));
-    ChurnConfig churn;
-    churn.duration = 25.0;
-    churn.seed = 4;
-    const ChurnReport r = run_churn(overlay, gen, churn);
+    const ChurnReport r =
+        run_events(overlay, gen, poisson_churn(1.0, 1.0, 4.0, 25.0), 4);
     return std::tuple{r.joins, r.leaves, r.queries, overlay.size()};
   };
   EXPECT_EQ(run_once(), run_once());
