@@ -14,7 +14,6 @@ namespace {
 /// full: churn invalidates entries wholesale anyway, so eviction finesse
 /// buys nothing.
 constexpr std::size_t kCacheCapacity = 4096;
-/// Seed of the gateway sampling.
 constexpr std::uint64_t kGatewaySeed = 0x5e11eULL;
 
 std::uint64_t bits(double v) {
